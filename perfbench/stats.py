@@ -4,6 +4,7 @@ Every function here is pure: it takes recorded numbers and returns a
 metric. Times are in seconds unless a name says otherwise.
 """
 
+import bisect
 import math
 
 
@@ -81,6 +82,23 @@ def fail_pct(sent, answered_ok):
 def ratio_pct(part, whole):
     """`part / whole` in percent, 0 when `whole` is 0."""
     return 100.0 * part / whole if whole else 0.0
+
+
+def slowdown(times, readings, t0, t1, nominal_ns, pad_s=0.1):
+    """How much slower than nominal the cores ran over `[t0, t1]`.
+
+    `times` (sorted) and `readings` are the core-speed witness's samples
+    from every CPU: when each was taken and how many ns its loop took.
+    The answer is the mean reading in the interval widened by `pad_s` on
+    each side (so a short request still sees a few readings) over
+    `nominal_ns`. A timing divided by it is the time the same work takes
+    on cores running at the nominal speed; a rate is multiplied by it."""
+    if t1 < t0 or nominal_ns <= 0:
+        raise ValueError("empty interval or non-positive nominal time")
+    lo, hi = bisect.bisect_left(times, t0 - pad_s), bisect.bisect_right(times, t1 + pad_s)
+    if lo == hi:
+        raise ValueError("no witness reading near the interval")
+    return sum(readings[lo:hi]) / (hi - lo) / nominal_ns
 
 
 def geomean(values):

@@ -70,6 +70,27 @@ class GoodputTest(unittest.TestCase):
             stats.goodput_rps(outcomes, 0.5, 0.0)
 
 
+class SlowdownTest(unittest.TestCase):
+    def test_mean_reading_over_the_padded_interval(self):
+        times = [0.0, 1.0, 2.0, 3.0, 10.0]
+        readings = [100, 200, 300, 400, 1000]
+        # [1.0, 2.0] padded by 0.5 takes the readings at 1.0, 2.0 only.
+        self.assertEqual(stats.slowdown(times, readings, 1.0, 2.0, 100, pad_s=0.5), 2.5)
+        # A short interval between readings reaches them through the pad.
+        self.assertEqual(stats.slowdown(times, readings, 2.9, 3.0, 200, pad_s=0.1), 2.0)
+        with self.assertRaises(ValueError):
+            stats.slowdown(times, readings, 5.0, 6.0, 100, pad_s=0.5)
+        with self.assertRaises(ValueError):
+            stats.slowdown(times, readings, 2.0, 1.0, 100)
+
+    def test_scaling_timings_and_rates(self):
+        # The same work on cores running at half speed: the witness loop
+        # takes twice as long, so the scaled timing and rate come back.
+        slow = stats.slowdown([0.0, 1.0], [840_000, 840_000], 0.0, 1.0, 420_000)
+        self.assertEqual(3.0 / slow, 1.5)
+        self.assertEqual(10.0 * slow, 20.0)
+
+
 class FailPctTest(unittest.TestCase):
     def test_base_is_requests_sent(self):
         self.assertEqual(stats.fail_pct(sent=10, answered_ok=9), 10.0)
@@ -107,6 +128,14 @@ class InputsTest(unittest.TestCase):
         self.assertLess(len(iters_only), len(set(keys)))  # iters variants
         self.assertEqual(phase_s, run.OVERLOAD_SHARE * 20)
         self.assertTrue(all(r["deadline_ms"] == run.LATENCY_LIMIT_MS for _, _, r in overload))
+
+    def test_nominal_phase_is_whole_blocks_of_one_mix(self):
+        def mix(seed):
+            nominal, _, _ = run.mixed_phases(seed=seed, seconds=28)
+            return sorted((r["model"], r["batch"]) for _, _, r in nominal)
+        block = len(run.MIX_POOL) + run.MIX_REPEATS + run.MIX_VARIANTS
+        self.assertEqual(len(mix(1)) % block, 0)
+        self.assertEqual(mix(1), mix(2))
 
     def test_canonical_payloads_ignore_number_spelling(self):
         self.assertEqual(run.canonical({"a": 1, "b": [2.0]}), run.canonical({"b": [2], "a": 1.0}))
