@@ -15,9 +15,11 @@ use serde::{Deserialize, Serialize};
 use gemini_arch::{arrange_cores, ArchConfig, Topology};
 use gemini_cost::CostModel;
 use gemini_model::Dnn;
+use gemini_sim::bound::dnn_bound;
 use gemini_sim::Evaluator;
 
-use crate::engine::{parse_all, MappingEngine, MappingOptions};
+use crate::encoding::{GroupSpec, Lms};
+use crate::engine::{parse_all, MappedDnn, MappingEngine, MappingOptions};
 use crate::fidelity::{BoundMode, BoundStats, DseReport, FidelityPolicy, FluidRescore};
 use crate::partition::partition_graph;
 use crate::stripe::stripe_lms;
@@ -302,27 +304,13 @@ pub fn evaluate_candidate(
     cost: &CostModel,
     opts: &DseOptions,
 ) -> DseRecord {
-    let mc_rep = cost.evaluate(arch);
-    let ev = Evaluator::new(arch);
-    let engine = MappingEngine::new(&ev);
-    let mut per_dnn = Vec::with_capacity(dnns.len());
-    let mut log_e = 0.0;
-    let mut log_d = 0.0;
+    let (_, mapped) = arch.remap(dnns, opts);
     let mut sa_stats = crate::sa::SaStats::default();
-    for dnn in dnns {
-        let mapped = engine.map(dnn, opts.batch, &opts.mapping);
-        let e = mapped.report.energy.total();
-        let d = mapped.report.delay_s;
-        log_e += e.ln();
-        log_d += d.ln();
-        if let Some(s) = &mapped.sa_stats {
-            sa_stats.add_counters(s);
-        }
-        per_dnn.push((dnn.name().to_string(), e, d));
+    for s in mapped.iter().filter_map(|m| m.sa_stats.as_ref()) {
+        sa_stats.add_counters(s);
     }
-    let n = dnns.len().max(1) as f64;
-    let energy = (log_e / n).exp();
-    let delay = (log_d / n).exp();
+    let (energy, delay) = mapped_geomean(&mapped);
+    let mc_rep = cost.evaluate(arch);
     let mc = mc_rep.total();
     DseRecord {
         arch: arch.clone(),
@@ -331,7 +319,17 @@ pub fn evaluate_candidate(
         energy,
         delay,
         score: opts.objective.score(mc, energy, delay),
-        per_dnn,
+        per_dnn: dnns
+            .iter()
+            .zip(&mapped)
+            .map(|(d, m)| {
+                (
+                    d.name().to_string(),
+                    m.report.energy.total(),
+                    m.report.delay_s,
+                )
+            })
+            .collect(),
         fluid: None,
         sa_stats,
         bound: None,
@@ -339,36 +337,42 @@ pub fn evaluate_candidate(
     }
 }
 
-/// Rung-0 bound of one candidate: the closed-form lower bound of
-/// [`gemini_sim::bound`] on the structural stripe mapping (flow
-/// selectors and batch units are invariant across the SA space, so the
-/// result bounds every mapping SA could reach), geometric-meaned over
-/// the DNNs and scored with the exact monetary cost.
-pub(crate) fn bound_candidate(
-    arch: &ArchConfig,
-    dnns: &[Dnn],
-    cost: &CostModel,
-    opts: &DseOptions,
-) -> CandidateBound {
-    let mc = cost.evaluate(arch).total();
-    let ev = Evaluator::new(arch);
-    let mut log_e = 0.0;
-    let mut log_d = 0.0;
-    for dnn in dnns {
-        let partition = partition_graph(dnn, arch, opts.batch, &opts.mapping.partition);
-        let lms: Vec<crate::encoding::Lms> = partition
-            .groups
+/// Geometric means of the `(energy, delay)` pairs, one pair per DNN:
+/// the E and D a multi-DNN candidate is scored on.
+fn geomean(per_dnn: impl ExactSizeIterator<Item = (f64, f64)>) -> (f64, f64) {
+    let n = per_dnn.len().max(1) as f64;
+    let (log_e, log_d) = per_dnn.fold((0.0, 0.0), |(le, ld), (e, d)| (le + e.ln(), ld + d.ln()));
+    ((log_e / n).exp(), (log_d / n).exp())
+}
+
+/// Geometric-mean achieved energy and delay of one mapping per DNN.
+pub(crate) fn mapped_geomean(mapped: &[MappedDnn]) -> (f64, f64) {
+    geomean(
+        mapped
             .iter()
-            .map(|g| stripe_lms(dnn, arch, g))
-            .collect();
-        let gms = parse_all(dnn, &partition, &lms);
-        let b = gemini_sim::bound::dnn_bound(&ev, dnn, &gms, opts.batch);
-        log_e += b.energy_j.ln();
-        log_d += b.delay_s.ln();
-    }
-    let n = dnns.len().max(1) as f64;
-    let energy = (log_e / n).exp();
-    let delay = (log_d / n).exp();
+            .map(|m| (m.report.energy.total(), m.report.delay_s)),
+    )
+}
+
+/// Rung-0 bound of one candidate: the closed-form lower bound of
+/// [`gemini_sim::bound`] on the structural mapping `stripe` builds per
+/// group (flow selectors and batch units are invariant across the SA
+/// space, so the result bounds every mapping SA could reach),
+/// geometric-meaned over the DNNs and scored with the exact monetary
+/// cost `mc`.
+pub(crate) fn stripe_bound(
+    ev: &Evaluator,
+    mc: f64,
+    dnns: &[Dnn],
+    opts: &DseOptions,
+    stripe: impl Fn(&Dnn, &GroupSpec) -> Lms,
+) -> CandidateBound {
+    let (energy, delay) = geomean(dnns.iter().map(|dnn| {
+        let partition = partition_graph(dnn, ev.arch(), opts.batch, &opts.mapping.partition);
+        let lms: Vec<Lms> = partition.groups.iter().map(|g| stripe(dnn, g)).collect();
+        let b = dnn_bound(ev, dnn, &parse_all(dnn, &partition, &lms), opts.batch);
+        (b.energy_j, b.delay_s)
+    }));
     CandidateBound {
         score: opts.objective.score(mc, energy, delay),
         energy,
@@ -388,17 +392,17 @@ pub(crate) struct CandidateBound {
 /// establishes the achieved threshold, and the prune mask. Identical
 /// between [`BoundMode::Report`] and [`BoundMode::Prune`] (the mask is
 /// computed either way; only `Prune` acts on it).
-pub(crate) struct BoundPlan {
-    pub(crate) bounds: Vec<CandidateBound>,
-    pub(crate) seed: Vec<bool>,
-    pub(crate) pruned: Vec<bool>,
-    pub(crate) threshold: f64,
+struct BoundPlan {
+    bounds: Vec<CandidateBound>,
+    seed: Vec<bool>,
+    pruned: Vec<bool>,
+    threshold: f64,
 }
 
 impl BoundPlan {
     /// Report statistics; `winner_gap` is the winner's achieved/bound
     /// score ratio.
-    pub(crate) fn stats(&self, winner_achieved: f64, winner: usize) -> BoundStats {
+    fn stats(&self, winner_achieved: f64, winner: usize) -> BoundStats {
         let wb = self.bounds[winner].score;
         BoundStats {
             total: self.bounds.len(),
@@ -414,7 +418,7 @@ impl BoundPlan {
 /// the achieved prune threshold. Must be at least the fidelity
 /// re-rank's `k` so the achieved top-K provably survives pruning; the
 /// floor of 8 keeps the threshold honest on `analytic`-only sweeps.
-pub(crate) fn seed_count(policy: &FidelityPolicy, n: usize) -> usize {
+fn seed_count(policy: &FidelityPolicy, n: usize) -> usize {
     let k = policy.rerank_params().map(|(k, _)| k).unwrap_or(0);
     k.max(8).min(n.max(1))
 }
@@ -423,7 +427,7 @@ pub(crate) fn seed_count(policy: &FidelityPolicy, n: usize) -> usize {
 /// prune threshold for pruning to be invisible: the fidelity re-rank
 /// consumes the achieved top-`k`, so `k` of them must survive; the
 /// plain analytic policy only needs the winner.
-pub(crate) fn survivors_needed(policy: &FidelityPolicy) -> usize {
+fn survivors_needed(policy: &FidelityPolicy) -> usize {
     policy.rerank_params().map(|(k, _)| k).unwrap_or(0).max(1)
 }
 
@@ -433,7 +437,7 @@ pub(crate) fn survivors_needed(policy: &FidelityPolicy) -> usize {
 /// achieved seed score, so the true winner — whose achieved score is
 /// at most that threshold, hence also its bound — is never flagged,
 /// and neither is any candidate of the achieved top-K.
-pub(crate) fn bound_seed_mask(bounds: &[CandidateBound], n_seeds: usize) -> Vec<bool> {
+fn bound_seed_mask(bounds: &[CandidateBound], n_seeds: usize) -> Vec<bool> {
     let mut order: Vec<usize> = (0..bounds.len()).collect();
     order.sort_by(|&a, &b| bounds[a].score.total_cmp(&bounds[b].score).then(a.cmp(&b)));
     let mut seed = vec![false; bounds.len()];
@@ -443,25 +447,87 @@ pub(crate) fn bound_seed_mask(bounds: &[CandidateBound], n_seeds: usize) -> Vec<
     seed
 }
 
-/// The record of a pruned candidate: exact monetary cost, bound
-/// metrics in place of achieved ones, no per-DNN data and zeroed SA
-/// counters. Its score is strictly worse than the achieved scores of
-/// at least `survivors_needed` evaluated seeds, so it can never be
-/// selected as winner or enter the fidelity top-K.
-fn pruned_record(arch: &ArchConfig, cost: &CostModel, cb: &CandidateBound) -> DseRecord {
-    let mc_rep = cost.evaluate(arch);
-    DseRecord {
-        arch: arch.clone(),
-        mc: mc_rep.total(),
-        mc_breakdown: (mc_rep.silicon, mc_rep.dram, mc_rep.package),
-        energy: cb.energy,
-        delay: cb.delay,
-        score: cb.score,
-        per_dnn: Vec::new(),
-        fluid: None,
-        sa_stats: crate::sa::SaStats::default(),
-        bound: None,
-        pruned: true,
+/// One point of a DSE sweep: a homogeneous architecture
+/// ([`ArchConfig`]) or a heterogeneous class assignment (the private
+/// candidate of [`crate::hetero_dse`]). [`sweep`] runs the rung-0
+/// pre-filter, the SA evaluation and the fidelity stage over a slice of
+/// either.
+pub(crate) trait Candidate: Sync {
+    /// The record one candidate contributes to the result.
+    type Record: Send;
+    /// Maps the candidate on every DNN and scores it.
+    fn evaluate(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> Self::Record;
+    /// The candidate's rung-0 lower bound (see [`stripe_bound`]).
+    fn bound(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> CandidateBound;
+    /// The record of a pruned candidate: exact monetary cost, bound
+    /// metrics in place of achieved ones, no mapping data and
+    /// `pruned: true`. Its score is strictly worse than the achieved
+    /// scores of at least `survivors_needed` evaluated seeds, so it can
+    /// never be selected as winner or enter the fidelity top-K.
+    fn pruned_record(&self, cost: &CostModel, bound: &CandidateBound) -> Self::Record;
+    /// The candidate's evaluator and one mapping per DNN. The SA engine
+    /// is deterministic, so this reproduces the mappings `evaluate`
+    /// scored exactly.
+    fn remap(&self, dnns: &[Dnn], opts: &DseOptions) -> (Evaluator, Vec<MappedDnn>);
+    /// The record's objective score.
+    fn score(r: &Self::Record) -> f64;
+    /// The record's monetary cost and energy.
+    fn mc_energy(r: &Self::Record) -> (f64, f64);
+    /// The record's rung-0 diagnostics and fidelity re-score slots.
+    fn annotations(r: &mut Self::Record) -> (&mut Option<RecordBound>, &mut Option<FluidRescore>);
+}
+
+impl Candidate for ArchConfig {
+    type Record = DseRecord;
+
+    fn evaluate(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> DseRecord {
+        evaluate_candidate(self, dnns, cost, opts)
+    }
+
+    fn bound(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> CandidateBound {
+        let mc = cost.evaluate(self).total();
+        stripe_bound(&Evaluator::new(self), mc, dnns, opts, |dnn, g| {
+            stripe_lms(dnn, self, g)
+        })
+    }
+
+    fn pruned_record(&self, cost: &CostModel, cb: &CandidateBound) -> DseRecord {
+        let mc_rep = cost.evaluate(self);
+        DseRecord {
+            arch: self.clone(),
+            mc: mc_rep.total(),
+            mc_breakdown: (mc_rep.silicon, mc_rep.dram, mc_rep.package),
+            energy: cb.energy,
+            delay: cb.delay,
+            score: cb.score,
+            per_dnn: Vec::new(),
+            fluid: None,
+            sa_stats: crate::sa::SaStats::default(),
+            bound: None,
+            pruned: true,
+        }
+    }
+
+    fn remap(&self, dnns: &[Dnn], opts: &DseOptions) -> (Evaluator, Vec<MappedDnn>) {
+        let ev = Evaluator::new(self);
+        let engine = MappingEngine::new(&ev);
+        let mapped = dnns
+            .iter()
+            .map(|d| engine.map(d, opts.batch, &opts.mapping))
+            .collect();
+        (ev, mapped)
+    }
+
+    fn score(r: &DseRecord) -> f64 {
+        r.score
+    }
+
+    fn mc_energy(r: &DseRecord) -> (f64, f64) {
+        (r.mc, r.energy)
+    }
+
+    fn annotations(r: &mut DseRecord) -> (&mut Option<RecordBound>, &mut Option<FluidRescore>) {
+        (&mut r.bound, &mut r.fluid)
     }
 }
 
@@ -505,6 +571,23 @@ pub fn run_dse(dnns: &[Dnn], spec: &DseSpec, opts: &DseOptions) -> DseResult {
 /// to `Off`.
 pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) -> DseResult {
     assert!(!candidates.is_empty(), "no valid DSE candidates");
+    let (records, best, report) = sweep(candidates, dnns, opts);
+    DseResult {
+        records,
+        best,
+        report,
+    }
+}
+
+/// The one DSE driver, behind [`run_dse_over`] and
+/// [`crate::hetero_dse::run_hetero_dse`] (see [`run_dse_over`] for the
+/// parallelism and the rung-0 contract): returns the records in
+/// candidate order, the winner's index and the fidelity report.
+pub(crate) fn sweep<C: Candidate>(
+    candidates: &[C],
+    dnns: &[Dnn],
+    opts: &DseOptions,
+) -> (Vec<C::Record>, usize, DseReport) {
     let cost = CostModel::default();
     let n = candidates.len();
 
@@ -513,12 +596,21 @@ pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) 
     if workers > 1 && opts_inner.mapping.sa.threads == 0 {
         opts_inner.mapping.sa.threads = 1;
     }
+    // Evaluates the candidates `idx` names into their slots.
+    let evaluate = |slots: &mut [Option<C::Record>], idx: Vec<usize>| {
+        let recs = crate::pool::parallel_map_indexed(workers, idx.len(), |j| {
+            candidates[idx[j]].evaluate(dnns, &cost, &opts_inner)
+        });
+        for (i, r) in idx.into_iter().zip(recs) {
+            slots[i] = Some(r);
+        }
+    };
+    let mut slots: Vec<Option<C::Record>> = (0..n).map(|_| None).collect();
 
-    let mut bound_plan: Option<BoundPlan> = None;
-    let mut records: Vec<DseRecord> = if opts.bound.active() {
+    let plan = opts.bound.active().then(|| {
         // Rung 0, bound pass: closed-form lower bound per candidate.
         let bounds: Vec<CandidateBound> = crate::pool::parallel_map_indexed(workers, n, |i| {
-            bound_candidate(&candidates[i], dnns, &cost, opts)
+            candidates[i].bound(dnns, &cost, opts)
         });
         // A non-monotone objective inverts bound comparisons, so every
         // candidate becomes a seed and nothing can be flagged.
@@ -530,18 +622,13 @@ pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) 
         let seed = bound_seed_mask(&bounds, n_seeds);
         // Phase A: evaluate the best-bounded seeds to establish an
         // *achieved* incumbent threshold.
-        let seed_idx: Vec<usize> = (0..n).filter(|&i| seed[i]).collect();
-        let seed_records: Vec<DseRecord> = crate::pool::parallel_map_indexed(
-            workers.min(seed_idx.len()).max(1),
-            seed_idx.len(),
-            |j| evaluate_candidate(&candidates[seed_idx[j]], dnns, &cost, &opts_inner),
-        );
+        evaluate(&mut slots, (0..n).filter(|&i| seed[i]).collect());
         // The threshold is the `survivors_needed`-th best achieved
         // seed score: a flagged candidate's achieved score is then
         // strictly worse than at least that many evaluated candidates,
         // so neither the winner nor any member of the achieved top-K
         // (the re-rank input) can ever be flagged.
-        let mut achieved: Vec<f64> = seed_records.iter().map(|r| r.score).collect();
+        let mut achieved: Vec<f64> = slots.iter().flatten().map(C::score).collect();
         achieved.sort_by(f64::total_cmp);
         let need = survivors_needed(&opts.fidelity).min(achieved.len());
         let threshold = if need == 0 {
@@ -555,59 +642,48 @@ pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) 
         let pruned: Vec<bool> = (0..n)
             .map(|i| !seed[i] && bounds[i].score > threshold)
             .collect();
-        // Phase B: the rest. `Prune` skips the flagged candidates;
-        // `Report` evaluates them anyway (same plan, same counters —
-        // only the skipped work differs).
-        let rest: Vec<usize> = (0..n)
-            .filter(|&i| !(seed[i] || opts.bound.prunes() && pruned[i]))
-            .collect();
-        let rest_records: Vec<DseRecord> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            crate::pool::parallel_map_indexed(workers.min(rest.len()), rest.len(), |j| {
-                evaluate_candidate(&candidates[rest[j]], dnns, &cost, &opts_inner)
-            })
-        };
-        // Assemble in candidate order; flagged-and-skipped slots get a
-        // bound-valued stand-in record.
-        let mut slots: Vec<Option<DseRecord>> = (0..n).map(|_| None).collect();
-        for (i, r) in seed_idx.into_iter().zip(seed_records) {
-            slots[i] = Some(r);
-        }
-        for (i, r) in rest.into_iter().zip(rest_records) {
-            slots[i] = Some(r);
-        }
-        let recs: Vec<DseRecord> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut r = s.unwrap_or_else(|| pruned_record(&candidates[i], &cost, &bounds[i]));
-                let gap = if r.pruned || bounds[i].score <= 0.0 {
-                    None
-                } else {
-                    Some(r.score / bounds[i].score)
-                };
-                r.bound = Some(RecordBound {
-                    score: bounds[i].score,
-                    energy: bounds[i].energy,
-                    delay: bounds[i].delay,
-                    gap,
-                });
-                r
-            })
-            .collect();
-        bound_plan = Some(BoundPlan {
+        BoundPlan {
             bounds,
             seed,
             pruned,
             threshold,
-        });
-        recs
-    } else {
-        crate::pool::parallel_map_indexed(workers, n, |i| {
-            evaluate_candidate(&candidates[i], dnns, &cost, &opts_inner)
+        }
+    });
+    // Phase B: the rest. `Prune` skips the flagged candidates; `Report`
+    // evaluates them anyway (same plan, same counters — only the
+    // skipped work differs).
+    let skipped: Vec<bool> = (0..n)
+        .map(|i| opts.bound.prunes() && plan.as_ref().is_some_and(|p| p.pruned[i]))
+        .collect();
+    let rest: Vec<usize> = (0..n)
+        .filter(|&i| slots[i].is_none() && !skipped[i])
+        .collect();
+    evaluate(&mut slots, rest);
+
+    // Assemble in candidate order; skipped slots get a bound-valued
+    // stand-in record, and every record gets its bound diagnostics.
+    let mut records: Vec<C::Record> = slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let Some(b) = plan.as_ref().map(|p| p.bounds[i]) else {
+                return s.expect("rung 0 off: every candidate evaluated");
+            };
+            let mut r = s.unwrap_or_else(|| candidates[i].pruned_record(&cost, &b));
+            let gap = if skipped[i] || b.score <= 0.0 {
+                None
+            } else {
+                Some(C::score(&r) / b.score)
+            };
+            *C::annotations(&mut r).0 = Some(RecordBound {
+                score: b.score,
+                energy: b.energy,
+                delay: b.delay,
+                gap,
+            });
+            r
         })
-    };
+        .collect();
 
     // Pruned stand-ins carry bound scores strictly worse than the
     // achieved threshold (itself at least the winner's achieved score),
@@ -616,50 +692,30 @@ pub fn run_dse_over(candidates: &[ArchConfig], dnns: &[Dnn], opts: &DseOptions) 
     // per-DNN data.
     let scores: Vec<f64> = records
         .iter()
-        .map(|r| if r.pruned { f64::INFINITY } else { r.score })
+        .zip(&skipped)
+        .map(|(r, &s)| if s { f64::INFINITY } else { C::score(r) })
         .collect();
-    let analytic_best = scores
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.total_cmp(b))
-        .map(|(i, _)| i)
-        .expect("non-empty");
 
     // Fidelity stages (no-op under `FidelityPolicy::Analytic`): fluid
     // re-rank of the top-K analytic survivors, then optional packet
-    // validation of the winner. The SA engine is deterministic, so the
-    // `remap` closure reproduces the analytic pass's mappings exactly.
-    let mcs_energies: Vec<(f64, f64)> = records.iter().map(|r| (r.mc, r.energy)).collect();
-    let (best, report, rescores) = crate::fidelity::run_fidelity_stage(
+    // validation of the winner.
+    let mcs_energies: Vec<(f64, f64)> = records.iter().map(C::mc_energy).collect();
+    let (best, mut report, rescores) = crate::fidelity::run_fidelity_stage(
         &opts.fidelity,
         opts.objective,
         &scores,
         &mcs_energies,
-        analytic_best,
         opts.threads.max(1),
         dnns,
-        |i| {
-            let ev = Evaluator::new(&candidates[i]);
-            let engine = MappingEngine::new(&ev);
-            let mapped = dnns
-                .iter()
-                .map(|d| engine.map(d, opts.batch, &opts_inner.mapping))
-                .collect();
-            (ev, mapped)
-        },
+        |i| candidates[i].remap(dnns, &opts_inner),
     );
     for (i, fr) in rescores {
-        records[i].fluid = Some(fr);
+        *C::annotations(&mut records[i]).1 = Some(fr);
     }
-    let mut report = report;
-    if let Some(plan) = &bound_plan {
-        report.bound = Some(plan.stats(records[best].score, best));
+    if let Some(plan) = &plan {
+        report.bound = Some(plan.stats(C::score(&records[best]), best));
     }
-    DseResult {
-        records,
-        best,
-        report,
-    }
+    (records, best, report)
 }
 
 /// Builds a larger accelerator out of `factor` times the computing

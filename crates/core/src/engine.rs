@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use gemini_model::{Dnn, LayerId};
 use gemini_sim::{DnnReport, DramSel, Evaluator, GroupMapping};
 
-use crate::encoding::{flow_needs, Lms};
+use crate::encoding::{flow_needs, GroupSpec, Lms};
 use crate::partition::{partition_graph, GraphPartition, PartitionOptions};
 use crate::sa::{optimize, SaOptions, SaStats};
 use crate::stripe::{bound_seed_lms, stripe_lms};
@@ -115,28 +115,7 @@ impl<'a> MappingEngine<'a> {
     /// G-Map: DP graph partition, stripe initialization, SA exploration
     /// (parallel per-group chains with memoized evaluation).
     pub fn map(&self, dnn: &Dnn, batch: u32, opts: &MappingOptions) -> MappedDnn {
-        let arch = self.ev.arch();
-        let partition = partition_graph(dnn, arch, batch, &opts.partition);
-        let init: Vec<Lms> = partition
-            .groups
-            .iter()
-            .map(|g| {
-                let base = stripe_lms(dnn, arch, g);
-                if opts.sa.bound_seed {
-                    bound_seed_lms(dnn, g, base)
-                } else {
-                    base
-                }
-            })
-            .collect();
-        let out = optimize(dnn, self.ev, &partition, init, batch, &opts.sa);
-        let report = self.evaluate(dnn, &partition, &out.lms, batch);
-        MappedDnn {
-            partition,
-            lms: out.lms,
-            report,
-            sa_stats: Some(out.stats),
-        }
+        self.anneal(dnn, batch, opts, |g| stripe_lms(dnn, self.ev.arch(), g))
     }
 
     /// G-Map on a heterogeneous chiplet assignment (Sec. V-D): identical
@@ -156,13 +135,26 @@ impl<'a> MappingEngine<'a> {
         opts: &MappingOptions,
         spec: &gemini_arch::HeteroSpec,
     ) -> MappedDnn {
-        let arch = self.ev.arch();
-        let partition = partition_graph(dnn, arch, batch, &opts.partition);
+        self.anneal(dnn, batch, opts, |g| {
+            crate::hetero_map::hetero_stripe_lms(dnn, self.ev.arch(), g, spec)
+        })
+    }
+
+    /// The G-Map body: partition, one `stripe` scheme per group as the
+    /// SA starting point, then annealing and the final evaluation.
+    fn anneal(
+        &self,
+        dnn: &Dnn,
+        batch: u32,
+        opts: &MappingOptions,
+        stripe: impl Fn(&GroupSpec) -> Lms,
+    ) -> MappedDnn {
+        let partition = partition_graph(dnn, self.ev.arch(), batch, &opts.partition);
         let init: Vec<Lms> = partition
             .groups
             .iter()
             .map(|g| {
-                let base = crate::hetero_map::hetero_stripe_lms(dnn, arch, g, spec);
+                let base = stripe(g);
                 if opts.sa.bound_seed {
                     bound_seed_lms(dnn, g, base)
                 } else {

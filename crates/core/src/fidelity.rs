@@ -5,7 +5,7 @@
 //! conclusions drawn from it are only as good as its congestion
 //! fidelity. This module promotes the reference simulators of
 //! `gemini-noc` from an offline audit (`gemini_sim::check_group`, the
-//! `fidelity_ladder` example) to a policy the DSE drivers consult:
+//! `fidelity_ladder` example) to a policy the DSE driver consults:
 //!
 //! 1. **Analytic** (rung 0): the SA inner loop and candidate ranking
 //!    use the cheap per-link model, exactly as before.
@@ -28,10 +28,12 @@
 //!    into [`gemini_sim::EvalOptions`] so the cheap model stays honest
 //!    on the workloads actually explored.
 //!
-//! Both DSE drivers ([`crate::dse::run_dse_over`] and
-//! [`crate::hetero_dse::run_hetero_dse`]) honour the policy via
-//! [`crate::dse::DseOptions::fidelity`] and attach the resulting
-//! [`DseReport`] to their results. Monolithic candidates
+//! The one DSE driver, `dse::sweep`, honours the policy via
+//! [`crate::dse::DseOptions::fidelity`] for both of its `Candidate`
+//! impls — homogeneous architectures ([`crate::dse::run_dse_over`]) and
+//! heterogeneous class assignments
+//! ([`crate::hetero_dse::run_hetero_dse`]) — and attaches the resulting
+//! [`DseReport`] to the result. Monolithic candidates
 //! (XCut = YCut = 1) have no D2D links; every stage here handles the
 //! zero-D2D case.
 
@@ -130,7 +132,7 @@ impl FidelityPolicy {
     }
 }
 
-/// Rung-0 analytic-bound pre-filter mode of the DSE drivers
+/// Rung-0 analytic-bound pre-filter mode of the DSE driver
 /// ([`crate::dse::DseOptions::bound`]).
 ///
 /// The bound pass computes, for every candidate, the closed-form lower
@@ -328,7 +330,7 @@ pub struct DseReport {
     /// compute-bound mappings).
     pub suggested_congestion_weight: Option<f64>,
     /// Rung-0 bound pre-filter statistics (`None` when the DSE ran with
-    /// [`BoundMode::Off`]). Filled by the DSE drivers after the
+    /// [`BoundMode::Off`]). Filled by the DSE driver after the
     /// fidelity stages; identical between [`BoundMode::Report`] and
     /// [`BoundMode::Prune`].
     pub bound: Option<BoundStats>,
@@ -444,10 +446,12 @@ pub(crate) fn fluid_rescore_delay(
     ((log_d / n).exp(), groups, all_gms)
 }
 
-/// Runs the re-rank (and optional winner-validation) stage shared by
-/// the homogeneous and heterogeneous DSE drivers.
+/// Runs the re-rank (and optional winner-validation) stage of the DSE
+/// driver, `dse::sweep`, for homogeneous and heterogeneous candidates
+/// alike.
 ///
-/// `scores` / `mcs_energies` describe the analytic records;
+/// `scores` / `mcs_energies` describe the analytic records (the
+/// analytic winner is the lowest score, ties to the lowest index);
 /// `remap(i)` rebuilds record `i`'s evaluator and deterministic
 /// mappings (the SA engine is bit-identical given the same options, so
 /// re-running it reproduces the analytic pass's mappings exactly).
@@ -455,13 +459,11 @@ pub(crate) fn fluid_rescore_delay(
 /// re-scores to attach to the records. The top-K fan-out uses the same
 /// scoped worker pool as the candidate sweep; results are in
 /// deterministic index order regardless of `workers`.
-#[allow(clippy::too_many_arguments)] // both DSE drivers thread their full analytic state through
 pub(crate) fn run_fidelity_stage<F>(
     policy: &FidelityPolicy,
     objective: Objective,
     scores: &[f64],
     mcs_energies: &[(f64, f64)],
-    analytic_best: usize,
     workers: usize,
     dnns: &[Dnn],
     remap: F,
@@ -469,6 +471,9 @@ pub(crate) fn run_fidelity_stage<F>(
 where
     F: Fn(usize) -> (Evaluator, Vec<MappedDnn>) + Sync,
 {
+    let analytic_best = (0..scores.len())
+        .min_by(|&a, &b| scores[a].total_cmp(&scores[b]))
+        .expect("non-empty");
     let Some((k, fluid_cfg)) = policy.rerank_params() else {
         return (
             analytic_best,

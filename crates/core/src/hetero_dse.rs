@@ -20,12 +20,12 @@ use gemini_model::Dnn;
 use gemini_sim::Evaluator;
 
 use crate::dse::{
-    bound_seed_mask, seed_count, survivors_needed, BoundPlan, CandidateBound, DseOptions,
-    Objective, RecordBound,
+    mapped_geomean, stripe_bound, sweep, Candidate, CandidateBound, DseOptions, Objective,
+    RecordBound,
 };
-use crate::engine::{parse_all, MappingEngine};
+use crate::engine::{MappedDnn, MappingEngine};
 use crate::fidelity::{DseReport, FluidRescore};
-use crate::partition::partition_graph;
+use crate::hetero_map::hetero_stripe_lms;
 
 /// The heterogeneous DSE grid: a fixed fabric whose chiplets each pick
 /// one of the candidate classes.
@@ -141,258 +141,104 @@ impl HeteroDseResult {
     }
 }
 
-/// Evaluates one class assignment on all DNNs.
-pub fn evaluate_hetero_candidate(
-    fabric: &ArchConfig,
-    spec: &HeteroSpec,
-    dnns: &[Dnn],
-    cost: &CostModel,
-    opts: &DseOptions,
-) -> HeteroDseRecord {
-    let ev = Evaluator::hetero(fabric, spec);
-    let engine = MappingEngine::new(&ev);
-    let mut log_e = 0.0;
-    let mut log_d = 0.0;
-    for dnn in dnns {
-        let m = engine.map_hetero(dnn, opts.batch, &opts.mapping, spec);
-        log_e += m.report.energy.total().ln();
-        log_d += m.report.delay_s.ln();
-    }
-    let n = dnns.len().max(1) as f64;
-    let energy = (log_e / n).exp();
-    let delay = (log_d / n).exp();
-    let mc = cost.evaluate_hetero(fabric, spec).total();
-    HeteroDseRecord {
-        spec: spec.clone(),
-        tops: spec.tops(fabric),
-        mc,
-        energy,
-        delay,
-        score: opts.objective.score(mc, energy, delay),
-        fluid: None,
-        bound: None,
-        pruned: false,
-    }
+/// One class assignment on the spec's fabric: the [`Candidate`] the
+/// shared [`crate::dse::sweep`] explores.
+struct Assignment<'a> {
+    fabric: &'a ArchConfig,
+    spec: HeteroSpec,
 }
 
-/// Rung-0 bound of one class assignment: the closed-form lower bound of
-/// [`gemini_sim::bound`] on the heterogeneity-aware stripe mapping (see
-/// [`crate::dse::bound_candidate`] — flow selectors and batch units are
-/// SA-invariant, so this bounds every reachable mapping).
-fn bound_hetero_candidate(
-    fabric: &ArchConfig,
-    spec: &HeteroSpec,
-    dnns: &[Dnn],
-    cost: &CostModel,
-    opts: &DseOptions,
-) -> CandidateBound {
-    let mc = cost.evaluate_hetero(fabric, spec).total();
-    let ev = Evaluator::hetero(fabric, spec);
-    let mut log_e = 0.0;
-    let mut log_d = 0.0;
-    for dnn in dnns {
-        let partition = partition_graph(dnn, fabric, opts.batch, &opts.mapping.partition);
-        let lms: Vec<crate::encoding::Lms> = partition
-            .groups
+impl Candidate for Assignment<'_> {
+    type Record = HeteroDseRecord;
+
+    fn evaluate(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> HeteroDseRecord {
+        let (_, mapped) = self.remap(dnns, opts);
+        let (energy, delay) = mapped_geomean(&mapped);
+        let mc = cost.evaluate_hetero(self.fabric, &self.spec).total();
+        HeteroDseRecord {
+            spec: self.spec.clone(),
+            tops: self.spec.tops(self.fabric),
+            mc,
+            energy,
+            delay,
+            score: opts.objective.score(mc, energy, delay),
+            fluid: None,
+            bound: None,
+            pruned: false,
+        }
+    }
+
+    /// The bound on the heterogeneity-aware stripe mapping (see
+    /// [`crate::dse::stripe_bound`]).
+    fn bound(&self, dnns: &[Dnn], cost: &CostModel, opts: &DseOptions) -> CandidateBound {
+        let mc = cost.evaluate_hetero(self.fabric, &self.spec).total();
+        let ev = Evaluator::hetero(self.fabric, &self.spec);
+        stripe_bound(&ev, mc, dnns, opts, |dnn, g| {
+            hetero_stripe_lms(dnn, self.fabric, g, &self.spec)
+        })
+    }
+
+    fn pruned_record(&self, cost: &CostModel, cb: &CandidateBound) -> HeteroDseRecord {
+        HeteroDseRecord {
+            spec: self.spec.clone(),
+            tops: self.spec.tops(self.fabric),
+            mc: cost.evaluate_hetero(self.fabric, &self.spec).total(),
+            energy: cb.energy,
+            delay: cb.delay,
+            score: cb.score,
+            fluid: None,
+            bound: None,
+            pruned: true,
+        }
+    }
+
+    fn remap(&self, dnns: &[Dnn], opts: &DseOptions) -> (Evaluator, Vec<MappedDnn>) {
+        let ev = Evaluator::hetero(self.fabric, &self.spec);
+        let engine = MappingEngine::new(&ev);
+        let mapped = dnns
             .iter()
-            .map(|g| crate::hetero_map::hetero_stripe_lms(dnn, fabric, g, spec))
+            .map(|d| engine.map_hetero(d, opts.batch, &opts.mapping, &self.spec))
             .collect();
-        let gms = parse_all(dnn, &partition, &lms);
-        let b = gemini_sim::bound::dnn_bound(&ev, dnn, &gms, opts.batch);
-        log_e += b.energy_j.ln();
-        log_d += b.delay_s.ln();
+        (ev, mapped)
     }
-    let n = dnns.len().max(1) as f64;
-    let energy = (log_e / n).exp();
-    let delay = (log_d / n).exp();
-    CandidateBound {
-        score: opts.objective.score(mc, energy, delay),
-        energy,
-        delay,
-    }
-}
 
-/// The stand-in record of a pruned assignment (exact cost, bound
-/// metrics, no mapping data) — see [`crate::dse::DseRecord::pruned`].
-fn pruned_hetero_record(
-    fabric: &ArchConfig,
-    spec: &HeteroSpec,
-    cost: &CostModel,
-    cb: &CandidateBound,
-) -> HeteroDseRecord {
-    HeteroDseRecord {
-        spec: spec.clone(),
-        tops: spec.tops(fabric),
-        mc: cost.evaluate_hetero(fabric, spec).total(),
-        energy: cb.energy,
-        delay: cb.delay,
-        score: cb.score,
-        fluid: None,
-        bound: None,
-        pruned: true,
+    fn score(r: &HeteroDseRecord) -> f64 {
+        r.score
+    }
+
+    fn mc_energy(r: &HeteroDseRecord) -> (f64, f64) {
+        (r.mc, r.energy)
+    }
+
+    fn annotations(
+        r: &mut HeteroDseRecord,
+    ) -> (&mut Option<RecordBound>, &mut Option<FluidRescore>) {
+        (&mut r.bound, &mut r.fluid)
     }
 }
 
 /// Runs the heterogeneous DSE over all class assignments.
 ///
-/// Assignments fan out over `opts.threads` scoped workers, mirroring
-/// the homogeneous [`crate::dse::run_dse_over`]; per-group SA chains
-/// inside each mapping run are pinned to one thread when the candidate
-/// level is already parallel (auto setting only), so the machine is
-/// not oversubscribed. Results are identical at any thread count. The
-/// fidelity re-rank stage requested by [`DseOptions::fidelity`] runs
-/// here too, with the heterogeneity-aware evaluator and mapper.
+/// Assignments go through the same driver as the homogeneous
+/// [`crate::dse::run_dse_over`]: candidate workers, SA-thread pinning,
+/// the rung-0 pre-filter and the fidelity stage behave alike, with the
+/// heterogeneity-aware evaluator and mapper. Results are identical at
+/// any thread count.
 ///
 /// # Panics
 ///
 /// Panics if the grid is empty (no classes).
 pub fn run_hetero_dse(dnns: &[Dnn], spec: &HeteroDseSpec, opts: &DseOptions) -> HeteroDseResult {
-    let candidates = spec.candidates();
-    assert!(!candidates.is_empty(), "no class assignments to explore");
-    let cost = CostModel::default();
-
-    let n = candidates.len();
-    let workers = opts.threads.clamp(1, n);
-    let mut opts_inner = opts.clone();
-    if workers > 1 && opts_inner.mapping.sa.threads == 0 {
-        opts_inner.mapping.sa.threads = 1;
-    }
-
-    // Rung 0 mirrors the homogeneous DSE (see
-    // [`crate::dse::run_dse_over`] for the soundness argument): bound
-    // everything, evaluate the best-bounded seeds, prune only
-    // assignments whose bound strictly exceeds the achieved threshold.
-    let mut bound_plan: Option<BoundPlan> = None;
-    let mut records: Vec<HeteroDseRecord> = if opts.bound.active() {
-        let bounds: Vec<CandidateBound> = crate::pool::parallel_map_indexed(workers, n, |i| {
-            bound_hetero_candidate(&spec.fabric, &candidates[i], dnns, &cost, opts)
-        });
-        let n_seeds = if opts.objective.monotone() {
-            seed_count(&opts.fidelity, n)
-        } else {
-            n
-        };
-        let seed = bound_seed_mask(&bounds, n_seeds);
-        let seed_idx: Vec<usize> = (0..n).filter(|&i| seed[i]).collect();
-        let seed_records: Vec<HeteroDseRecord> = crate::pool::parallel_map_indexed(
-            workers.min(seed_idx.len()).max(1),
-            seed_idx.len(),
-            |j| {
-                evaluate_hetero_candidate(
-                    &spec.fabric,
-                    &candidates[seed_idx[j]],
-                    dnns,
-                    &cost,
-                    &opts_inner,
-                )
-            },
-        );
-        let mut achieved: Vec<f64> = seed_records.iter().map(|r| r.score).collect();
-        achieved.sort_by(f64::total_cmp);
-        let need = survivors_needed(&opts.fidelity).min(achieved.len());
-        let threshold = if need == 0 {
-            f64::INFINITY
-        } else {
-            achieved[need - 1]
-        };
-        let pruned: Vec<bool> = (0..n)
-            .map(|i| !seed[i] && bounds[i].score > threshold)
-            .collect();
-        let rest: Vec<usize> = (0..n)
-            .filter(|&i| !(seed[i] || opts.bound.prunes() && pruned[i]))
-            .collect();
-        let rest_records: Vec<HeteroDseRecord> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            crate::pool::parallel_map_indexed(workers.min(rest.len()), rest.len(), |j| {
-                evaluate_hetero_candidate(
-                    &spec.fabric,
-                    &candidates[rest[j]],
-                    dnns,
-                    &cost,
-                    &opts_inner,
-                )
-            })
-        };
-        let mut slots: Vec<Option<HeteroDseRecord>> = (0..n).map(|_| None).collect();
-        for (i, r) in seed_idx.into_iter().zip(seed_records) {
-            slots[i] = Some(r);
-        }
-        for (i, r) in rest.into_iter().zip(rest_records) {
-            slots[i] = Some(r);
-        }
-        let recs: Vec<HeteroDseRecord> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut r = s.unwrap_or_else(|| {
-                    pruned_hetero_record(&spec.fabric, &candidates[i], &cost, &bounds[i])
-                });
-                let gap = if r.pruned || bounds[i].score <= 0.0 {
-                    None
-                } else {
-                    Some(r.score / bounds[i].score)
-                };
-                r.bound = Some(RecordBound {
-                    score: bounds[i].score,
-                    energy: bounds[i].energy,
-                    delay: bounds[i].delay,
-                    gap,
-                });
-                r
-            })
-            .collect();
-        bound_plan = Some(BoundPlan {
-            bounds,
-            seed,
-            pruned,
-            threshold,
-        });
-        recs
-    } else {
-        crate::pool::parallel_map_indexed(workers, n, |i| {
-            evaluate_hetero_candidate(&spec.fabric, &candidates[i], dnns, &cost, &opts_inner)
+    let candidates: Vec<Assignment> = spec
+        .candidates()
+        .into_iter()
+        .map(|a| Assignment {
+            fabric: &spec.fabric,
+            spec: a,
         })
-    };
-
-    let scores: Vec<f64> = records
-        .iter()
-        .map(|r| if r.pruned { f64::INFINITY } else { r.score })
         .collect();
-    let analytic_best = scores
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.total_cmp(b))
-        .map(|(i, _)| i)
-        .expect("non-empty");
-
-    let mcs_energies: Vec<(f64, f64)> = records.iter().map(|r| (r.mc, r.energy)).collect();
-    let (best, report, rescores) = crate::fidelity::run_fidelity_stage(
-        &opts.fidelity,
-        opts.objective,
-        &scores,
-        &mcs_energies,
-        analytic_best,
-        opts.threads.max(1),
-        dnns,
-        |i| {
-            let assignment = &candidates[i];
-            let ev = Evaluator::hetero(&spec.fabric, assignment);
-            let engine = MappingEngine::new(&ev);
-            let mapped = dnns
-                .iter()
-                .map(|d| engine.map_hetero(d, opts.batch, &opts_inner.mapping, assignment))
-                .collect();
-            (ev, mapped)
-        },
-    );
-    for (i, fr) in rescores {
-        records[i].fluid = Some(fr);
-    }
-    let mut report = report;
-    if let Some(plan) = &bound_plan {
-        report.bound = Some(plan.stats(records[best].score, best));
-    }
+    assert!(!candidates.is_empty(), "no class assignments to explore");
+    let (records, best, report) = sweep(&candidates, dnns, opts);
     HeteroDseResult {
         records,
         best,

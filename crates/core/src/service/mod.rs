@@ -508,6 +508,14 @@ impl ServiceState {
     }
 
     fn dse_payload(&self, p: &DseParams) -> Result<Value, ServiceError> {
+        // Table I has no candidate for a non-positive target, and a NaN
+        // target would score every candidate NaN.
+        if !(p.tops.is_finite() && p.tops > 0.0) {
+            return Err(ServiceError::bad_request(format!(
+                "invalid tops {}: must be a finite number > 0",
+                p.tops
+            )));
+        }
         let Some((fidelity, bound)) = crate::fidelity::parse_policy(&p.fidelity, p.rerank_k) else {
             return Err(ServiceError::bad_request(format!(
                 "unknown fidelity policy '{}'; use analytic|rerank|validate, \
@@ -859,6 +867,29 @@ mod tests {
         assert_eq!(e.code, ErrorCode::BadRequest);
         assert!(e.detail.contains("unknown objective"), "{}", e.detail);
         assert!(e.detail.contains("p<pct>@<rate>"), "{}", e.detail);
+    }
+
+    #[test]
+    fn dse_refuses_a_tops_that_is_not_finite_and_positive() {
+        let state = ServiceState::one_shot();
+        for tops in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let e = state
+                .handle(&RequestBody::Dse(DseParams {
+                    tops,
+                    stride: 400,
+                    batch: 2,
+                    iters: 10,
+                    seed: 0,
+                    fidelity: "analytic".to_string(),
+                    rerank_k: 4,
+                    threads: None,
+                    sa_threads: 1,
+                    objective: "mc-e-d".to_string(),
+                }))
+                .unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest);
+            assert!(e.detail.contains("invalid tops"), "{}", e.detail);
+        }
     }
 
     #[test]

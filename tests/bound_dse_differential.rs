@@ -4,10 +4,12 @@
 //! `Report` and `Prune` must produce byte-identical reports at any
 //! worker count, at least 30% of the candidates must actually be
 //! pruned before SA, and the bound-seeded SA chain must stay
-//! bit-identical with delta evaluation on and off.
+//! bit-identical with delta evaluation on and off. The heterogeneous
+//! class-assignment sweep carries the same contract.
 
 use gemini::core::dse::{run_dse, DseOptions, DseSpec};
 use gemini::core::engine::{MappingEngine, MappingOptions};
+use gemini::core::hetero_dse::{run_hetero_dse, HeteroDseSpec};
 use gemini::core::sa::SaOptions;
 use gemini::prelude::*;
 
@@ -128,6 +130,67 @@ fn pruning_is_invisible_on_the_strided_72tops_sweep() {
         let gap = rb.gap.expect("evaluated record has a gap");
         assert!(gap >= 1.0 - 1e-9, "achieved beat the bound: gap {gap}");
     }
+}
+
+/// The rung-0 contract on the heterogeneous sweep: a 2-chiplet fabric
+/// whose chiplets each pick one of four core classes (16 assignments).
+/// Off, Report and Prune elect the same winner at 1 and 4 workers;
+/// Report and Prune produce identical reports; records do not depend on
+/// the worker count; and the bound prunes at least one assignment.
+#[test]
+fn hetero_pruning_is_invisible_on_the_class_assignment_sweep() {
+    let class = |macs, glb_bytes| CoreClass { macs, glb_bytes };
+    let spec = HeteroDseSpec {
+        fabric: ArchConfig::builder()
+            .cores(4, 4)
+            .cuts(1, 2)
+            .build()
+            .unwrap(),
+        classes: vec![
+            class(2048, 2 << 20),
+            class(512, 1 << 20),
+            class(1024, 512 << 10),
+            class(4096, 4 << 20),
+        ],
+    };
+    let dnns = vec![gemini::model::zoo::two_conv_example()];
+    let run = |bound, workers| run_hetero_dse(&dnns, &spec, &sweep_opts(bound, workers));
+
+    let off = run(BoundMode::Off, 1);
+    assert_eq!(off.records.len(), 16);
+    for bound in [BoundMode::Off, BoundMode::Report, BoundMode::Prune] {
+        let one = run(bound, 1);
+        let four = run(bound, 4);
+        for (tag, res) in [("1 worker", &one), ("4 workers", &four)] {
+            assert_eq!(off.best, res.best, "winner moved under {bound:?}, {tag}");
+            assert_eq!(
+                off.records[off.best].score.to_bits(),
+                res.records[res.best].score.to_bits(),
+                "winning score changed under {bound:?}, {tag}"
+            );
+        }
+        assert_eq!(one.report, four.report, "report differs: 1 vs 4 workers");
+        assert_eq!(one.records.len(), four.records.len());
+        for (a, b) in one.records.iter().zip(&four.records) {
+            assert_eq!(a.pruned, b.pruned);
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+            assert_eq!(a.bound, b.bound);
+        }
+    }
+
+    let report = run(BoundMode::Report, 1);
+    let prune = run(BoundMode::Prune, 1);
+    assert_eq!(
+        report.report, prune.report,
+        "report differs: Report vs Prune"
+    );
+    let stats = prune.report.bound.as_ref().expect("bound stats");
+    assert_eq!(stats.total, 16);
+    assert!(stats.pruned >= 1, "no assignment pruned: {stats:?}");
+    assert_eq!(
+        prune.records.iter().filter(|r| r.pruned).count(),
+        stats.pruned
+    );
 }
 
 /// The bound-seeded SA chain start (`SaOptions::bound_seed`) must not

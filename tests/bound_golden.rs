@@ -12,9 +12,9 @@ use gemini::core::stripe::stripe_lms;
 use gemini::prelude::*;
 use gemini::sim::bound::dnn_bound;
 
-/// The bound of `bound_candidate`'s pipeline: DP partition, stripe
-/// scheme, parse, closed-form bound — no SA anywhere, so the result is
-/// a pure function of (workload, architecture, batch).
+/// The bound of the DSE rung-0 pipeline (`dse::stripe_bound`): DP
+/// partition, stripe scheme, parse, closed-form bound — no SA anywhere,
+/// so the result is a pure function of (workload, architecture, batch).
 fn structural_bound(name: &str, batch: u32) -> gemini::sim::bound::DnnBound {
     let dnn = gemini::model::zoo::by_name(name)
         .expect("zoo workload")

@@ -76,6 +76,16 @@ fn dse_rejects_unknown_fidelity_policy() {
 }
 
 #[test]
+fn dse_rejects_a_tops_that_is_not_finite_and_positive() {
+    for tops in ["0", "-1", "nan"] {
+        let (ok, _, err) = gemini(&["dse", "--tops", tops, "--stride", "400", "--iters", "1"]);
+        assert!(!ok, "--tops {tops} must fail");
+        assert!(err.contains("invalid tops"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn campaign_usage_and_error_paths() {
     let (ok, _, err) = gemini(&[]);
     assert!(!ok);
