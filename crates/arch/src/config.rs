@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::{Coord, CoreId};
+use crate::geometry::{Coord, CoreId, MAX_CORES};
 
 /// NoC topology of the template.
 ///
@@ -38,6 +38,12 @@ pub enum ArchError {
     },
     /// A parameter that must be positive was zero or negative.
     NonPositive(&'static str),
+    /// The core grid has more cores than a [`CoreId`] can index
+    /// ([`MAX_CORES`]).
+    TooManyCores {
+        /// Cores in the requested grid.
+        cores: u64,
+    },
 }
 
 impl std::fmt::Display for ArchError {
@@ -50,6 +56,9 @@ impl std::fmt::Display for ArchError {
                 )
             }
             ArchError::NonPositive(what) => write!(f, "{what} must be positive"),
+            ArchError::TooManyCores { cores } => {
+                write!(f, "{cores} cores exceed the limit of {MAX_CORES}")
+            }
         }
     }
 }
@@ -214,7 +223,8 @@ impl ArchConfig {
         CoreId((y * self.x_cores + x) as u16)
     }
 
-    /// All core ids.
+    /// All core ids. The `u16` cast is lossless: [`ArchConfigBuilder::build`]
+    /// refuses more than [`MAX_CORES`] cores.
     pub fn cores(&self) -> impl Iterator<Item = CoreId> {
         (0..self.n_cores() as u16).map(CoreId)
     }
@@ -401,6 +411,10 @@ impl ArchConfigBuilder {
         if self.x_cores == 0 || self.y_cores == 0 {
             return Err(ArchError::NonPositive("core count"));
         }
+        let cores = self.x_cores as u64 * self.y_cores as u64;
+        if cores > MAX_CORES as u64 {
+            return Err(ArchError::TooManyCores { cores });
+        }
         if self.xcut == 0 || self.ycut == 0 {
             return Err(ArchError::NonPositive("cut count"));
         }
@@ -465,6 +479,19 @@ mod tests {
         assert!(matches!(r, Err(ArchError::CutMismatch { axis: 'X', .. })));
         let r = ArchConfig::builder().cores(6, 6).cuts(1, 5).build();
         assert!(matches!(r, Err(ArchError::CutMismatch { axis: 'Y', .. })));
+    }
+
+    #[test]
+    fn builder_refuses_more_cores_than_core_ids_can_index() {
+        let r = ArchConfig::builder().cores(256, 256).cuts(1, 1).build();
+        assert_eq!(r, Err(ArchError::TooManyCores { cores: 65_536 }));
+        let e = r.unwrap_err().to_string();
+        assert!(e.contains("65536 cores exceed the limit of 65535"), "{e}");
+        // A product that overflows u32 is still refused, not wrapped.
+        let r = ArchConfig::builder().cores(1 << 16, 1 << 16).build();
+        assert!(matches!(r, Err(ArchError::TooManyCores { .. })));
+        let a = ArchConfig::builder().cores(MAX_CORES, 1).build().unwrap();
+        assert_eq!(a.cores().count(), MAX_CORES as usize);
     }
 
     #[test]

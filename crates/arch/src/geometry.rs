@@ -2,6 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The most cores an architecture can have: [`CoreId`] is a `u16`
+/// index, and the ids of an architecture's cores run `0..n_cores`.
+pub const MAX_CORES: u32 = u16::MAX as u32;
+
 /// Identifier of a computing core: row-major index into the core grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct CoreId(pub u16);

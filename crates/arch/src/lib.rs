@@ -33,5 +33,5 @@ pub mod presets;
 
 pub use area::{AreaBreakdown, AreaModel, Die, DieKind};
 pub use config::{ArchConfig, ArchConfigBuilder, ArchError, Topology};
-pub use geometry::{arrange_cores, Coord, CoreId};
+pub use geometry::{arrange_cores, Coord, CoreId, MAX_CORES};
 pub use hetero::{CoreClass, HeteroError, HeteroSpec};

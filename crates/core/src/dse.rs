@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use gemini_arch::{arrange_cores, ArchConfig, Topology};
+use gemini_arch::{arrange_cores, ArchConfig, Topology, MAX_CORES};
 use gemini_cost::CostModel;
 use gemini_model::Dnn;
 use gemini_sim::bound::dnn_bound;
@@ -79,11 +79,16 @@ impl DseSpec {
     /// and arranges cores near-square (36 -> 6x6, 18 -> 6x3, 72 -> 9x8).
     /// We search the first few counts at/above `tops / (2*macs*freq)`
     /// and pick the one admitting the most valid (XCut, YCut) pairs,
-    /// breaking ties by squareness and then by count.
+    /// breaking ties by squareness and then by count. `None` when even
+    /// the smallest count exceeds [`MAX_CORES`].
     pub fn grid_for(&self, macs: u32) -> Option<(u32, u32)> {
         let target = self.tops * 1e12 / (2.0 * macs as f64 * self.freq_ghz * 1e9);
-        let lo = target.ceil().max(1.0) as u32;
-        let hi = ((target * 1.08).ceil() as u32 + 2).max(lo);
+        let lo = target.ceil().max(1.0);
+        if lo > MAX_CORES as f64 {
+            return None;
+        }
+        let lo = lo as u32;
+        let hi = ((target * 1.08).ceil() as u32 + 2).clamp(lo, MAX_CORES);
         // Candidate sort key: (-cut_pairs, squareness, core_count).
         type GridKey = (i64, i64, i64);
         let mut best: Option<(GridKey, (u32, u32))> = None;

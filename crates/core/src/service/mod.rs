@@ -100,6 +100,22 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// Refuses batch 0: the partitioner has no batch unit to cover it
+/// with. The request handlers and the CLI verbs that map outside them
+/// share this check and its wording.
+///
+/// # Errors
+///
+/// [`ErrorCode::BadRequest`] when `batch` is zero.
+pub fn check_batch(batch: u32) -> Result<(), ServiceError> {
+    if batch == 0 {
+        return Err(ServiceError::bad_request(
+            "invalid batch 0: must be at least 1",
+        ));
+    }
+    Ok(())
+}
+
 /// Resolves an architecture preset name (the CLI's vocabulary).
 pub fn preset(name: &str) -> Option<ArchConfig> {
     match name {
@@ -400,6 +416,7 @@ impl ServiceState {
                 "unknown preset; try `gemini archs`",
             ));
         };
+        check_batch(p.batch)?;
         // Memo key: the semantic parameters only. `threads` is
         // excluded — the SA engine is bit-identical at any thread
         // count, so it cannot change the payload.
@@ -516,6 +533,18 @@ impl ServiceState {
                 p.tops
             )));
         }
+        // A target so large that every grid outgrows the core ids has
+        // no candidate at all.
+        let spec = DseSpec::table1(p.tops);
+        let n_candidates = spec.candidates().len();
+        if n_candidates == 0 {
+            return Err(ServiceError::bad_request(format!(
+                "invalid tops {}: every Table-I grid needs more than {} cores",
+                p.tops,
+                gemini_arch::MAX_CORES
+            )));
+        }
+        check_batch(p.batch)?;
         let Some((fidelity, bound)) = crate::fidelity::parse_policy(&p.fidelity, p.rerank_k) else {
             return Err(ServiceError::bad_request(format!(
                 "unknown fidelity policy '{}'; use analytic|rerank|validate, \
@@ -552,7 +581,6 @@ impl ServiceState {
             if p.threads.is_some() {
                 sa.threads = 0;
             }
-            let spec = DseSpec::table1(p.tops);
             let mut opts = DseOptions {
                 objective,
                 batch: p.batch,
@@ -572,10 +600,7 @@ impl ServiceState {
             }
             let mut lines = vec![format!(
                 "{} candidates in the {}-TOPs grid; exploring every {}th with SA {}",
-                spec.candidates().len(),
-                p.tops,
-                p.stride,
-                p.iters
+                n_candidates, p.tops, p.stride, p.iters
             )];
             let dnns = vec![gemini_model::zoo::transformer_base()];
             let res = run_dse(&dnns, &spec, &opts);
@@ -870,9 +895,11 @@ mod tests {
     }
 
     #[test]
-    fn dse_refuses_a_tops_that_is_not_finite_and_positive() {
+    fn dse_refuses_an_invalid_tops() {
+        // Not finite and positive, or so large that no grid fits the
+        // core ids.
         let state = ServiceState::one_shot();
-        for tops in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        for tops in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e9, 1e300] {
             let e = state
                 .handle(&RequestBody::Dse(DseParams {
                     tops,
@@ -889,6 +916,37 @@ mod tests {
                 .unwrap_err();
             assert_eq!(e.code, ErrorCode::BadRequest);
             assert!(e.detail.contains("invalid tops"), "{}", e.detail);
+        }
+    }
+
+    #[test]
+    fn batch_zero_is_refused_on_map_and_dse() {
+        let state = ServiceState::one_shot();
+        let map = RequestBody::Map(MapParams {
+            model: "rn-50".to_string(),
+            arch: "g-arch".to_string(),
+            batch: 0,
+            iters: 10,
+            seed: 0,
+            threads: 1,
+            stats: false,
+        });
+        let dse = RequestBody::Dse(DseParams {
+            tops: 72.0,
+            stride: 400,
+            batch: 0,
+            iters: 10,
+            seed: 0,
+            fidelity: "analytic+prune".to_string(),
+            rerank_k: 4,
+            threads: None,
+            sa_threads: 1,
+            objective: "mc-e-d".to_string(),
+        });
+        for body in [map, dse] {
+            let e = state.handle(&body).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest);
+            assert_eq!(e.detail, "invalid batch 0: must be at least 1");
         }
     }
 

@@ -40,7 +40,9 @@ pub fn snake_order(arch: &ArchConfig) -> Vec<CoreId> {
 /// # Panics
 ///
 /// Panics if the group has more members than the accelerator has cores —
-/// the graph partitioner guarantees this cannot happen.
+/// the graph partitioner guarantees this cannot happen for a batch of at
+/// least 1 and options with a non-zero batch unit (see
+/// [`crate::partition::partition_graph`]).
 pub fn proportional_allocation(dnn: &Dnn, spec: &GroupSpec, n_cores: u32) -> Vec<u32> {
     let n = spec.members.len() as u32;
     assert!(n <= n_cores, "group of {n} layers exceeds {n_cores} cores");

@@ -41,6 +41,7 @@ pub const DETERMINISM_SCOPES: &[&str] = &[
     "crates/core/src/sa.rs",
     "crates/core/src/joint.rs",
     "crates/core/src/engine.rs",
+    "crates/core/src/partition.rs",
     "crates/core/src/pareto.rs",
     "crates/core/src/artifacts.rs",
     "crates/sim/src/delta.rs",

@@ -68,7 +68,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
-use gemini::core::service::preset;
+use gemini::core::service::{check_batch, preset};
 use gemini::prelude::*;
 
 /// Minimal `--flag value` argument scanner.
@@ -76,6 +76,19 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// `--batch N` with a per-verb default; `None`, after printing the
+/// service's refusal, when it is zero.
+fn batch_flag(args: &[String], default: u32) -> Option<u32> {
+    let batch = flag(args, "--batch")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default);
+    if let Err(e) = check_batch(batch) {
+        eprintln!("{e}");
+        return None;
+    }
+    Some(batch)
 }
 
 /// Every verb the CLI understands, for the unknown-subcommand message.
@@ -187,9 +200,9 @@ fn main() -> ExitCode {
                 eprintln!("unknown model; try `gemini models`");
                 return ExitCode::FAILURE;
             };
-            let batch: u32 = flag(&args, "--batch")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(8);
+            let Some(batch) = batch_flag(&args, 8) else {
+                return ExitCode::FAILURE;
+            };
             let sa = sa_opts(&args, 800);
             let iters = sa.iters;
             let arch = gemini::arch::presets::g_arch_72();
@@ -276,9 +289,11 @@ fn main() -> ExitCode {
                 eprintln!("unknown preset; try `gemini archs`");
                 return ExitCode::FAILURE;
             };
-            let batch: u32 = flag(&args, "--batch")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(16);
+            // Refused before the header, like an unknown name; the
+            // handler checks again for socket clients.
+            let Some(batch) = batch_flag(&args, 16) else {
+                return ExitCode::FAILURE;
+            };
             let sa = sa_opts(&args, 1000);
             // The header is printed client-side: chain_threads() is
             // host-dependent, so it stays out of the deterministic
@@ -309,9 +324,9 @@ fn main() -> ExitCode {
                 eprintln!("unknown model; try `gemini models`");
                 return ExitCode::FAILURE;
             };
-            let batch: u32 = flag(&args, "--batch")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(8);
+            let Some(batch) = batch_flag(&args, 8) else {
+                return ExitCode::FAILURE;
+            };
             let sa = sa_opts(&args, 300);
             let iters = sa.iters;
             let fabric = ArchConfig::builder()

@@ -85,6 +85,66 @@ fn dse_rejects_a_tops_that_is_not_finite_and_positive() {
     }
 }
 
+/// Runs the CLI like [`gemini`], but kills it and fails the test when
+/// it is still running after `secs` seconds.
+fn gemini_within(secs: u64, args: &[&str]) -> (bool, String, String) {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gemini"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn gemini CLI");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("poll gemini CLI").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("gemini {args:?} still running after {secs} s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect gemini CLI output");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn dse_refuses_a_tops_with_no_grid_within_the_core_limit_promptly() {
+    for tops in ["1e9", "1e300"] {
+        let (ok, _, err) = gemini_within(
+            20,
+            &["dse", "--tops", tops, "--stride", "400", "--iters", "1"],
+        );
+        assert!(!ok, "--tops {tops} must fail");
+        assert!(err.contains("invalid tops"), "{err}");
+        assert!(err.contains("65535 cores"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
+fn batch_zero_is_refused_on_every_mapping_verb() {
+    for args in [
+        &["map", "rn-50", "--batch", "0", "--iters", "1"][..],
+        &["heatmap", "rn-50", "--batch", "0", "--iters", "1"],
+        &["hetero", "rn-50", "--batch", "0", "--iters", "1"],
+        &["dse", "--batch", "0", "--stride", "400", "--iters", "1"],
+    ] {
+        let (ok, out, err) = gemini_within(20, args);
+        assert!(!ok, "{args:?} must fail");
+        assert_eq!(
+            err.trim(),
+            "invalid batch 0: must be at least 1",
+            "{args:?}"
+        );
+        assert!(out.is_empty(), "{args:?} printed before refusing: {out}");
+    }
+}
+
 #[test]
 fn campaign_usage_and_error_paths() {
     let (ok, _, err) = gemini(&[]);
