@@ -353,14 +353,18 @@ impl IntraCoreExplorer {
     }
 }
 
-/// Tile-size candidates for a dimension: powers of two up to `n`, plus
-/// `n` itself.
+/// Tile-size candidates for a dimension: powers of two below `n`, plus
+/// `n` itself. The doubling is checked, so above `2^31` the powers stop
+/// there instead of wrapping to 0 and repeating forever.
 fn tile_candidates(n: u32) -> Vec<u32> {
     let mut v = Vec::new();
-    let mut t = 1;
+    let mut t = 1u32;
     while t < n {
         v.push(t);
-        t *= 2;
+        match t.checked_mul(2) {
+            Some(next) => t = next,
+            None => break,
+        }
     }
     v.push(n.max(1));
     v
@@ -497,6 +501,19 @@ mod tests {
         assert_eq!(tile_candidates(1), vec![1]);
         assert_eq!(tile_candidates(8), vec![1, 2, 4, 8]);
         assert_eq!(tile_candidates(6), vec![1, 2, 4, 6]);
+    }
+
+    #[test]
+    fn tile_candidates_terminate_above_2_pow_31() {
+        let all = tile_candidates(u32::MAX);
+        assert_eq!(all.len(), 33);
+        assert!(all.windows(2).all(|p| p[0] < p[1]), "{all:?}");
+        assert_eq!(all[31], 1 << 31);
+        assert_eq!(all.last(), Some(&u32::MAX));
+        let top = tile_candidates(1 << 31);
+        assert_eq!(top.len(), 32);
+        assert_eq!(top[30], 1 << 30);
+        assert_eq!(top.last(), Some(&(1 << 31)));
     }
 
     #[test]

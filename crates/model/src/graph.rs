@@ -113,6 +113,14 @@ impl Dnn {
         self.layer(id).input_need(pred_pos, pred_shape, off, out)
     }
 
+    /// Fewest elements of one sample of predecessor `pred_pos` that any
+    /// split of layer `id`'s output must read (see
+    /// [`Layer::min_input_elems`]).
+    pub fn min_input_elems(&self, id: LayerId, pred_pos: usize) -> u64 {
+        let pred_shape = self.layer(self.preds(id)[pred_pos]).ofmap;
+        self.layer(id).min_input_elems(pred_pos, pred_shape)
+    }
+
     /// Total MACs to process `batch` samples.
     pub fn total_macs(&self, batch: u32) -> u64 {
         self.layers.iter().map(|l| l.macs(batch)).sum()

@@ -328,6 +328,61 @@ impl Layer {
             }
         }
     }
+
+    /// Fewest elements of one sample of predecessor `pred_idx` that any
+    /// split of this layer's whole output must read: the volume of the
+    /// union of [`Layer::input_need`] over single output indices, which
+    /// every part's need covers by monotonicity and single-index parts
+    /// meet exactly.
+    ///
+    /// `input_need` is a product of per-dimension interval maps, no two
+    /// driven by the same output dimension, so that union is the box of
+    /// per-dimension unions. Every map passes the batch range through,
+    /// so a batch unit of `bu` samples needs exactly `bu` times this
+    /// count. Per need dimension, by kind:
+    ///
+    /// * identity maps give the output extent: eltwise and activation
+    ///   dimensions (bar a channel-reducing activation's channels),
+    ///   concat h/w, pool channels and the sliced matmul dimensions;
+    /// * full maps give the predecessor extent: FC, dense-conv and
+    ///   channel-reducing activation channels, the unsliced matmul
+    ///   operand dimensions, and concat channels (the concat output
+    ///   holds every channel of each input, whatever its offset);
+    /// * a grouped convolution touches every group, so all `cin`
+    ///   channels;
+    /// * a windowed h/w gives the union of its clamped windows. When
+    ///   kernel >= stride consecutive windows touch, so the union is the
+    ///   window of the whole range; otherwise the windows are disjoint
+    ///   and the union is the sum of their clamped lengths.
+    ///
+    /// `pred_shape` is the predecessor's per-sample output shape.
+    pub fn min_input_elems(&self, pred_idx: usize, pred_shape: FmapShape) -> u64 {
+        let (o, p) = (self.ofmap, pred_shape);
+        let (h, w, c) = match &self.kind {
+            LayerKind::Input => unreachable!("input pseudo-layers have no predecessors"),
+            LayerKind::Conv(cp) => (
+                window_union(o.h, cp.kernel.0, cp.stride.0, cp.pad.0, p.h),
+                window_union(o.w, cp.kernel.1, cp.stride.1, cp.pad.1, p.w),
+                if cp.groups == 1 { p.c } else { cp.cin },
+            ),
+            LayerKind::Pool(pp) => (
+                window_union(o.h, pp.kernel.0, pp.stride.0, pp.pad.0, p.h),
+                window_union(o.w, pp.kernel.1, pp.stride.1, pp.pad.1, p.w),
+                o.c,
+            ),
+            LayerKind::Fc { .. } => (p.h, p.w, p.c),
+            LayerKind::Matmul { operand, .. } => match (pred_idx, operand) {
+                (0, _) => (o.h, p.w, p.c),
+                (1, MatmulOperand::ActRowSlice) => (o.c, p.w, p.c),
+                (1, MatmulOperand::ActChanSlice) => (p.h, p.w, o.c),
+                _ => unreachable!("matmul has at most two activation operands"),
+            },
+            LayerKind::Activation(a) if a.reduces_channels() => (o.h, o.w, p.c),
+            LayerKind::Eltwise { .. } | LayerKind::Activation(_) => (o.h, o.w, o.c),
+            LayerKind::Concat => (o.h, o.w, p.c),
+        };
+        h as u64 * w as u64 * c as u64
+    }
 }
 
 /// Input range needed by an output range of a windowed operator
@@ -341,6 +396,30 @@ fn window_need(out: Range1, kernel: u32, stride: u32, pad: u32, in_len: u32) -> 
     let s = start.max(0) as u32;
     let e = (end.max(0) as u32).min(in_len);
     Range1::new(s, e)
+}
+
+/// Measure of the union of [`window_need`] over every single output
+/// index in `[0, n)`; at most `in_len`, since every window is clamped.
+fn window_union(n: u32, kernel: u32, stride: u32, pad: u32, in_len: u32) -> u32 {
+    if kernel >= stride {
+        // Each window starts no later than its predecessor ends, so the
+        // union is one interval.
+        return window_need(Range1::full(n), kernel, stride, pad, in_len).len();
+    }
+    // Disjoint windows `[i*stride - pad, i*stride - pad + kernel)`: the
+    // clamped union is their measure below `in_len` less that below 0.
+    let (n, k, s) = (n as i64, kernel as i64, stride as i64);
+    let below = |x: i64| {
+        let t = x + pad as i64; // distance past the first window's start
+        let whole = if t >= k { ((t - k) / s + 1).min(n) } else { 0 };
+        let part = if whole < n {
+            (t - whole * s).clamp(0, k)
+        } else {
+            0
+        };
+        whole * k + part
+    };
+    (below(in_len as i64) - below(0)) as u32
 }
 
 /// Input-channel range touched by an output-channel range of a grouped

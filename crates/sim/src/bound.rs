@@ -12,10 +12,11 @@
 //!   split.
 //! * **Minimum DRAM traffic.** Every output byte with a DRAM
 //!   destination is written once; every DRAM-sourced input must cover
-//!   the union of the per-part needs, which is itself bounded below by
-//!   a per-dimension union sweep of the halo-aware `input_need` map
-//!   (sound even when strides make per-part needs disjoint); weight
-//!   slices jointly cover the full tensor.
+//!   the union of the per-part needs, which by monotonicity of
+//!   `input_need` holds every single output index's need: at least
+//!   [`Dnn::min_input_elems`] per sample of the batch unit, in closed
+//!   form (sound even when strides make per-part needs disjoint);
+//!   weight slices jointly cover the full tensor.
 //! * **Minimum NoC occupancy.** Every DRAM read byte crosses exactly
 //!   one DRAM-injection link and every write byte one ejection link, so
 //!   the busiest link carries at least `max(R, W)` spread over all DRAM
@@ -70,8 +71,8 @@ pub struct GroupBound {
     pub weight_load_s: f64,
     /// Lower bound on the total group delay in seconds.
     pub delay_s: f64,
-    /// Minimum DRAM bytes read per stage (per-dimension union sweep
-    /// over every DRAM-sourced input flow).
+    /// Minimum DRAM bytes read per stage (the closed-form minimum
+    /// footprint of every DRAM-sourced input flow).
     pub dram_read_bytes: u64,
     /// Minimum DRAM bytes written per stage (full output regions of
     /// members with a DRAM destination).
@@ -166,14 +167,12 @@ pub fn group_bound(ev: &Evaluator, dnn: &Dnn, gm: &GroupMapping, batch: u32) -> 
     let mut glb_weight_lb = 0.0f64;
     for m in &gm.members {
         let layer = dnn.layer(m.layer);
-        let ofmap = layer.ofmap;
-        let extents = [ofmap.h, ofmap.w, ofmap.c, bu];
-        let out_elems = ofmap.elems() * bu as u64;
+        let out_elems = layer.ofmap.elems() * bu as u64;
         macs += out_elems * layer.macs_per_out();
         vector_ops += out_elems * layer.vector_ops_per_out();
         out_elems_total += out_elems;
         for (p, src) in m.pred_srcs.iter().enumerate() {
-            let u = union_need_bytes(dnn, m.layer, p, extents);
+            let u = dnn.min_input_elems(m.layer, p) * bu as u64 * gemini_model::BYTES_PER_ELEM;
             in_bytes += u;
             if matches!(src, PredSrc::Dram(_)) {
                 read_bytes += u;
@@ -370,84 +369,10 @@ pub fn bound_achieving_mapping(
     })
 }
 
-/// Minimum bytes any part decomposition must read of predecessor
-/// `pred_pos`: a per-dimension union sweep of the `input_need` map.
-///
-/// `input_need` is a product of per-dimension interval maps, each
-/// depending on exactly one output dimension (injectively across need
-/// dimensions) and monotone in range inclusion. Probing one output
-/// dimension with single indices (others full) therefore yields, for
-/// the need dimension it drives, the exact union of per-index needs —
-/// and for every other need dimension an over-approximation. Taking the
-/// minimum merged measure per need dimension across the four probes
-/// recovers the true per-dimension unions, whose product measures a box
-/// contained in the union of any covering decomposition's needs.
-fn union_need_bytes(dnn: &Dnn, layer: LayerId, pred_pos: usize, extents: [u32; 4]) -> u64 {
-    let mut best = [u64::MAX; 4];
-    for probe in 0..4 {
-        let mut per_dim: [Vec<(u32, u32)>; 4] = Default::default();
-        for i in 0..extents[probe] {
-            let out = probe_region(extents, probe, i);
-            let need = dnn.input_need(layer, pred_pos, &out);
-            for (d, r) in [need.h, need.w, need.k, need.b].into_iter().enumerate() {
-                if !r.is_empty() {
-                    per_dim[d].push((r.start, r.end));
-                }
-            }
-        }
-        for d in 0..4 {
-            best[d] = best[d].min(merged_measure(&mut per_dim[d]));
-        }
-    }
-    best.iter().product::<u64>() * gemini_model::BYTES_PER_ELEM
-}
-
-/// Output region probing dimension `probe` at single index `i`, all
-/// other dimensions full.
-fn probe_region(extents: [u32; 4], probe: usize, i: u32) -> Region {
-    let r = |d: usize| {
-        if d == probe {
-            Range1::new(i, i + 1)
-        } else {
-            Range1::full(extents[d])
-        }
-    };
-    Region::new(r(0), r(1), r(2), r(3))
-}
-
-/// Total measure of a union of 1-D intervals.
-fn merged_measure(ivs: &mut [(u32, u32)]) -> u64 {
-    if ivs.is_empty() {
-        return 0;
-    }
-    ivs.sort_unstable();
-    let mut total = 0u64;
-    let (mut cs, mut ce) = ivs[0];
-    for &(s, e) in ivs[1..].iter() {
-        if s > ce {
-            total += (ce - cs) as u64;
-            cs = s;
-            ce = e;
-        } else if e > ce {
-            ce = e;
-        }
-    }
-    total += (ce - cs) as u64;
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gemini_arch::presets::g_arch_72;
-
-    #[test]
-    fn merged_measure_handles_overlap_and_gaps() {
-        assert_eq!(merged_measure(&mut []), 0);
-        assert_eq!(merged_measure(&mut [(0, 4), (2, 6)]), 6);
-        assert_eq!(merged_measure(&mut [(4, 6), (0, 2)]), 4);
-        assert_eq!(merged_measure(&mut [(0, 8), (2, 3)]), 8);
-    }
 
     #[test]
     fn bound_achieving_mapping_rejects_windowed_layers() {

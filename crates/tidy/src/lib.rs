@@ -42,8 +42,7 @@ pub const DETERMINISM_SCOPES: &[&str] = &[
     "crates/core/src/joint.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/partition.rs",
-    "crates/core/src/pareto.rs",
-    "crates/core/src/artifacts.rs",
+    "crates/model/src/layer.rs",
     "crates/sim/src/delta.rs",
     "crates/sim/src/cache.rs",
     "crates/sim/src/bound.rs",

@@ -37,4 +37,12 @@ fn workspace_scans_clean() {
             w.file, w.line, w.lint
         );
     }
+    // Likewise every scope entry names a real path, so a rename cannot
+    // silently drop a file out of the lints.
+    for scope in gemini_tidy::DETERMINISM_SCOPES
+        .iter()
+        .chain([&gemini_tidy::SERVICE_SCOPE])
+    {
+        assert!(root.join(scope).exists(), "stale lint scope {scope}");
+    }
 }

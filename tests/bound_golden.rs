@@ -2,9 +2,9 @@
 //! workload, on the structural stripe mapping the DSE's bound pass
 //! uses. `DnnBound::cycles` and `DnnBound::dram_bytes` are exact
 //! integers (no float-order noise), so any drift in the roofline
-//! arithmetic, the DRAM-traffic union sweep, the stripe scheme or the
-//! DP partitioner shows up as a hard mismatch here — the same way the
-//! zoo's golden MAC counts pin the model graphs.
+//! arithmetic, the closed-form DRAM-traffic footprint, the stripe
+//! scheme or the DP partitioner shows up as a hard mismatch here — the
+//! same way the zoo's golden MAC counts pin the model graphs.
 
 use gemini::core::engine::parse_all;
 use gemini::core::partition::partition_graph;

@@ -127,6 +127,60 @@ fn dse_refuses_a_tops_with_no_grid_within_the_core_limit_promptly() {
 }
 
 #[test]
+fn the_largest_decode_position_maps_promptly() {
+    let (ok, out, err) = gemini_within(
+        20,
+        &[
+            "map",
+            "decode-tiny@4294967295",
+            "--batch",
+            "1",
+            "--iters",
+            "10",
+        ],
+    );
+    assert!(ok, "map failed:\n{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.contains("G-Map"), "{out}");
+}
+
+#[test]
+fn the_largest_decode_position_campaigns_promptly() {
+    let dir = std::env::temp_dir().join(format!("gemini-cli-hugepos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("huge.toml");
+    std::fs::write(
+        &manifest,
+        "[campaign]\nname = \"huge-position\"\nseed = 2\nsa_iters = 10\nbatches = [1]\n\
+         objectives = [\"mc-e-d\"]\nfidelity = \"analytic\"\n\n\
+         [workloads]\nnames = [\"decode-tiny@4294967295\"]\nmode = \"each\"\n\n\
+         [[arch]]\npreset = \"g-arch\"\n",
+    )
+    .expect("write manifest");
+    let out_dir = dir.join("out");
+    let (ok, out, err) = gemini_within(
+        20,
+        &[
+            "campaign",
+            manifest.to_str().expect("utf-8 temp dir"),
+            "--out",
+            out_dir.to_str().expect("utf-8 temp dir"),
+        ],
+    );
+    assert!(ok, "campaign failed:\n{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.contains("1 cell(s) evaluated"), "{out}");
+    for artifact in ["journal.jsonl", "cells.csv", "pareto.csv", "pareto.json"] {
+        assert!(
+            out_dir.join("huge-position").join(artifact).exists(),
+            "{artifact} missing"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn batch_zero_is_refused_on_every_mapping_verb() {
     for args in [
         &["map", "rn-50", "--batch", "0", "--iters", "1"][..],
