@@ -1,5 +1,5 @@
-//! Evaluator-mechanism ablation (the design choices DESIGN.md calls
-//! out).
+//! Evaluator-mechanism ablation (the Sec. V-B2 row of
+//! `docs/CONCORDANCE.md`).
 //!
 //! The evaluator stacks several mechanisms on top of the per-link
 //! bottleneck time: a congestion surcharge, a GLB working-set spill

@@ -1,4 +1,4 @@
-//! SA-operator ablation (design-choice study called out in DESIGN.md).
+//! SA-operator ablation (the Sec. V-B1 row of `docs/CONCORDANCE.md`).
 //!
 //! The paper designs five operators and argues (via its anonymous proof
 //! link) that together they make every point of the encoding space

@@ -4,9 +4,8 @@
 //! parallel chains) and monetary-cost evaluation.
 //!
 //! The SA comparison additionally writes a wall-clock summary to
-//! `bench_results/sa_parallel.csv`: the seed-engine configuration
-//! (sequential, no memoization) against the parallel engine at 1 and 4
-//! threads, with cache hit rates and the verified bit-identical cost.
+//! `bench_results/sa_parallel.csv`: the engine at 1 and 4 chain
+//! threads, with delta-hit counts and the verified bit-identical cost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -119,24 +118,23 @@ fn bench_sa(c: &mut Criterion) {
 }
 
 /// Mapping options for the parallel-SA comparison.
-fn sa_cmp_opts(iters: u32, threads: usize, cache: bool) -> MappingOptions {
+fn sa_cmp_opts(iters: u32, threads: usize) -> MappingOptions {
     MappingOptions {
         sa: SaOptions {
             iters,
             seed: 42,
             threads,
-            cache,
             ..Default::default()
         },
         ..Default::default()
     }
 }
 
-/// Sequential-vs-parallel / cold-vs-warm-cache comparison on a
-/// multi-group workload (ResNet-50 at batch 16 partitions into ~15
-/// groups on G-Arch, so 4 chain workers have real fan-out). Wall-clock
-/// numbers land in `bench_results/sa_parallel.csv`; the final costs of
-/// every configuration are asserted bit-identical before writing.
+/// Sequential-vs-parallel comparison on a multi-group workload
+/// (ResNet-50 at batch 16 partitions into ~15 groups on G-Arch, so 4
+/// chain workers have real fan-out). Wall-clock numbers land in
+/// `bench_results/sa_parallel.csv`; the final costs of both
+/// configurations are asserted bit-identical before writing.
 fn bench_sa_parallel(c: &mut Criterion) {
     if !section_enabled("sa_parallel") {
         return;
@@ -148,46 +146,23 @@ fn bench_sa_parallel(c: &mut Criterion) {
     let batch = 16;
     let iters = sa_iters(2_000, 20_000);
 
-    let run = |threads: usize, cache: bool| {
+    let run = |threads: usize| {
         let t = std::time::Instant::now();
-        let m = engine.map(&dnn, batch, &sa_cmp_opts(iters, threads, cache));
+        let m = engine.map(&dnn, batch, &sa_cmp_opts(iters, threads));
         (t.elapsed().as_secs_f64(), m)
     };
     // Warm the intra-core memo caches once so the comparison measures
     // the SA engine, not first-touch tile-search costs.
-    let _ = run(1, true);
+    let _ = run(1);
 
-    // Seed-engine shape: sequential, no memo cache, full (non-delta)
-    // re-evaluation of every neighbor.
-    let (t_seed, m_seed) = {
-        let mut o = sa_cmp_opts(iters, 1, false);
-        o.sa.delta = false;
-        let t = std::time::Instant::now();
-        let m = engine.map(&dnn, batch, &o);
-        (t.elapsed().as_secs_f64(), m)
-    };
-    let (t_seq, m_seq) = run(1, true); // sequential, warm cache
-    let (t_par, m_par) = run(4, true); // 4 chain workers, warm cache
+    let (t_seq, m_seq) = run(1); // sequential chains
+    let (t_par, m_par) = run(4); // 4 chain workers
     assert_eq!(
         m_seq.report.delay_s.to_bits(),
         m_par.report.delay_s.to_bits(),
         "parallel SA must be bit-identical to sequential"
     );
-    assert_eq!(
-        m_seed.report.delay_s.to_bits(),
-        m_seq.report.delay_s.to_bits(),
-        "memoization must be transparent"
-    );
 
-    let hit_rate = |m: &gemini_core::engine::MappedDnn| {
-        let s = m.sa_stats.expect("G-Map has SA stats");
-        let total = s.cache_hits + s.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            s.cache_hits as f64 / total as f64 * 100.0
-        }
-    };
     let groups = m_seq.partition.groups.len();
     let cost = m_seq.sa_stats.expect("stats").final_cost;
     // The chain fan-out only buys wall-clock time when the host has
@@ -199,74 +174,38 @@ fn bench_sa_parallel(c: &mut Criterion) {
     let delta_hits =
         |m: &gemini_core::engine::MappedDnn| m.sa_stats.expect("G-Map has SA stats").delta_hits;
     let rows = [
-        (
-            "seed_seq_nocache",
-            1usize,
-            false,
-            t_seed,
-            hit_rate(&m_seed),
-            delta_hits(&m_seed),
-        ),
-        (
-            "seq_warm_cache",
-            1,
-            true,
-            t_seq,
-            hit_rate(&m_seq),
-            delta_hits(&m_seq),
-        ),
-        (
-            "par4_warm_cache",
-            4,
-            true,
-            t_par,
-            hit_rate(&m_par),
-            delta_hits(&m_par),
-        ),
+        ("seq", 1usize, t_seq, delta_hits(&m_seq)),
+        ("par4", 4, t_par, delta_hits(&m_par)),
     ];
     let csv: Vec<String> = rows
         .iter()
-        .map(|(name, threads, cache, wall, hits, dhits)| {
+        .map(|(name, threads, wall, dhits)| {
             format!(
-                "{name},{threads},{host},{cache},{groups},{iters},{:.4},{:.1},{:.2},{},{dhits}",
-                wall,
-                hits,
-                t_seed / wall,
+                "{name},{threads},{host},{groups},{iters},{wall:.4},{},{dhits}",
                 sig6(cost)
             )
         })
         .collect();
     write_csv(
         results_dir().join("sa_parallel.csv"),
-        "config,sa_threads,host_threads,cache,groups,iters,wall_s,cache_hit_pct,speedup_vs_seed,final_cost,delta_hits",
+        "config,sa_threads,host_threads,groups,iters,wall_s,final_cost,delta_hits",
         csv,
     )
     .expect("write sa_parallel.csv");
     println!(
-        "sa_parallel: {groups} groups on a {host}-thread host — seed {t_seed:.3}s  \
-         seq+cache {t_seq:.3}s  par4+cache {t_par:.3}s  (speedup {:.2}x, hit rate {:.1}%)",
-        t_seed / t_par,
-        hit_rate(&m_par)
+        "sa_parallel: {groups} groups on a {host}-thread host — seq {t_seq:.3}s  \
+         par4 {t_par:.3}s  (speedup {:.2}x)",
+        t_seq / t_par
     );
 
-    // Criterion pair on a smaller budget for statistically-sampled
-    // per-configuration numbers.
+    // Criterion sample on a smaller budget for a statistically-sampled
+    // number.
     let small = sa_iters(150, 1_000);
-    c.bench_function("sa/resnet50_seq_nocache", |b| {
+    c.bench_function("sa/resnet50_par4", |b| {
         b.iter(|| {
             std::hint::black_box(
                 engine
-                    .map(&dnn, batch, &sa_cmp_opts(small, 1, false))
-                    .report
-                    .delay_s,
-            )
-        })
-    });
-    c.bench_function("sa/resnet50_par4_cache", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                engine
-                    .map(&dnn, batch, &sa_cmp_opts(small, 4, true))
+                    .map(&dnn, batch, &sa_cmp_opts(small, 4))
                     .report
                     .delay_s,
             )
@@ -274,17 +213,13 @@ fn bench_sa_parallel(c: &mut Criterion) {
     });
 }
 
-/// Incremental (delta) vs. full SA hot-loop evaluation on GoogLeNet —
-/// the perf-trajectory benchmark behind `BENCH_sa.json`.
+/// The SA hot loop on GoogLeNet — the perf-trajectory benchmark behind
+/// `BENCH_sa.json`.
 ///
-/// Three configurations map the same workload with one SA chain worker:
-/// the seed engine's shape (full re-evaluation, no memo cache), full
-/// re-evaluation with a warm cache (PR 2's hot path), and the delta
-/// engine (dirty-footprint re-simulation + warm cache). Each
-/// configuration runs twice and reports the minimum wall clock (the
-/// repetitions must be bit-identical). All three final costs are
-/// asserted bit-identical — the CI perf-smoke job rides on that
-/// assertion — and the wall clocks land in `BENCH_sa.json` at the
+/// Maps the workload with one SA chain worker, twice, and reports the
+/// minimum wall clock; the two repetitions are asserted bit-identical
+/// (the CI perf-smoke job rides on that assertion). The wall clock and
+/// the delta-evaluation counters land in `BENCH_sa.json` at the
 /// workspace root plus `bench_results/sa_delta.csv`, together with the
 /// rung-0 bound prune rate on the strided 72-TOPs sweep.
 fn bench_sa_delta(c: &mut Criterion) {
@@ -298,81 +233,53 @@ fn bench_sa_delta(c: &mut Criterion) {
     let batch = 8;
     let iters = sa_iters(4_000, 20_000);
 
-    let cfg = |delta: bool, cache: bool| MappingOptions {
+    let cfg = |iters: u32| MappingOptions {
         sa: SaOptions {
             iters,
             seed: 42,
             threads: 1,
-            cache,
-            delta,
             ..Default::default()
         },
         ..Default::default()
     };
-    let run = |delta: bool, cache: bool| {
+    let run = || {
         let t = std::time::Instant::now();
-        let m = engine.map(&dnn, batch, &cfg(delta, cache));
+        let m = engine.map(&dnn, batch, &cfg(iters));
         (t.elapsed().as_secs_f64(), m)
     };
-    // Two repetitions per configuration, reporting the minimum wall
-    // clock — steadier against scheduler noise than a single shot. The
-    // engine is deterministic, so the repetitions must agree exactly.
-    let min_run = |delta: bool, cache: bool| {
-        let (t1, m1) = run(delta, cache);
-        let (t2, m2) = run(delta, cache);
-        assert_eq!(
-            m1.report.delay_s.to_bits(),
-            m2.report.delay_s.to_bits(),
-            "repetitions diverged (delta={delta}, cache={cache})"
-        );
-        (t1.min(t2), m1)
-    };
-    // Warm the intra-core memo caches once so the comparison measures
-    // the evaluation strategy, not first-touch tile-search costs.
-    let _ = run(true, true);
+    // Warm the intra-core memo caches once so the measurement covers
+    // the annealer, not first-touch tile-search costs.
+    let _ = run();
 
-    let (t_seed, m_seed) = min_run(false, false); // full re-eval, no memo
-    let (t_full, m_full) = min_run(false, true); // full re-eval, warm cache
-    let (t_delta, m_delta) = min_run(true, true); // delta + warm cache
-
-    // The divergence gate: a delta evaluation must be bit-identical to
-    // a full one, end to end through the whole annealing trajectory.
+    // Two repetitions, reporting the minimum wall clock — steadier
+    // against scheduler noise than a single shot. The engine is
+    // deterministic, so the repetitions must agree exactly.
+    let (t1, m) = run();
+    let (t2, m2) = run();
     let cost = |m: &gemini_core::engine::MappedDnn| m.sa_stats.expect("SA stats").final_cost;
     assert_eq!(
-        cost(&m_full).to_bits(),
-        cost(&m_delta).to_bits(),
-        "delta and full SA costs diverged"
+        m.report.delay_s.to_bits(),
+        m2.report.delay_s.to_bits(),
+        "repetitions diverged"
     );
     assert_eq!(
-        cost(&m_seed).to_bits(),
-        cost(&m_delta).to_bits(),
-        "cache-off and delta SA costs diverged"
+        cost(&m).to_bits(),
+        cost(&m2).to_bits(),
+        "repetition SA costs diverged"
     );
-    assert_eq!(
-        m_full.report.delay_s.to_bits(),
-        m_delta.report.delay_s.to_bits(),
-        "delta and full mapped delays diverged"
-    );
+    let wall = t1.min(t2);
 
-    let s = m_delta.sa_stats.expect("SA stats");
-    let lookups = s.cache_hits + s.cache_misses;
-    let cache_hit_pct = if lookups == 0 {
-        0.0
-    } else {
-        s.cache_hits as f64 / lookups as f64 * 100.0
-    };
+    let s = m.sa_stats.expect("SA stats");
     let members = s.member_sims + s.member_reuses;
     let member_reuse_pct = if members == 0 {
         0.0
     } else {
         s.member_reuses as f64 / members as f64 * 100.0
     };
-    let groups = m_delta.partition.groups.len();
+    let groups = m.partition.groups.len();
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let speedup = t_full / t_delta;
-    let speedup_vs_seed = t_seed / t_delta;
 
     // Rung-0 prune rate on the strided Table-I 72-TOPs sweep, tracked
     // alongside the SA numbers so a bound-tightness regression shows up
@@ -405,13 +312,10 @@ fn bench_sa_delta(c: &mut Criterion) {
         .unwrap_or(0.0);
 
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"bench\": \"sa_delta\",\n  \"workload\": \"googlenet\",\n  \
+        "{{\n  \"schema\": 2,\n  \"bench\": \"sa_delta\",\n  \"workload\": \"googlenet\",\n  \
          \"batch\": {batch},\n  \"iters\": {iters},\n  \"groups\": {groups},\n  \
          \"host_threads\": {host},\n  \"sa_threads\": 1,\n  \
-         \"full_nocache_wall_s\": {t_seed:.4},\n  \"full_cache_wall_s\": {t_full:.4},\n  \
-         \"delta_cache_wall_s\": {t_delta:.4},\n  \"speedup_delta_vs_full\": {speedup:.3},\n  \
-         \"speedup_delta_vs_seed\": {speedup_vs_seed:.3},\n  \
-         \"cache_hit_pct\": {cache_hit_pct:.1},\n  \"delta_hits\": {},\n  \
+         \"wall_s\": {wall:.4},\n  \"delta_hits\": {},\n  \
          \"full_evals\": {},\n  \"member_sims\": {},\n  \"member_reuses\": {},\n  \
          \"member_reuse_pct\": {member_reuse_pct:.1},\n  \
          \"bound_prune_pct\": {bound_prune_pct:.1},\n  \"final_cost\": \"{}\",\n  \
@@ -420,60 +324,29 @@ fn bench_sa_delta(c: &mut Criterion) {
         s.full_evals,
         s.member_sims,
         s.member_reuses,
-        sig6(cost(&m_delta)),
+        sig6(cost(&m)),
     );
     std::fs::write(workspace_root().join("BENCH_sa.json"), &json).expect("write BENCH_sa.json");
 
-    let rows = [
-        ("full_nocache", false, false, t_seed, &m_seed),
-        ("full_cache", false, true, t_full, &m_full),
-        ("delta_cache", true, true, t_delta, &m_delta),
-    ];
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|(name, delta, cache, wall, m)| {
-            let st = m.sa_stats.expect("SA stats");
-            format!(
-                "{name},{delta},{cache},{host},{groups},{iters},{wall:.4},{:.2},{},{},{},{}",
-                t_full / wall,
-                st.delta_hits,
-                st.full_evals,
-                st.member_sims,
-                st.member_reuses,
-            )
-        })
-        .collect();
     write_csv(
         results_dir().join("sa_delta.csv"),
-        "config,delta,cache,host_threads,groups,iters,wall_s,speedup_vs_full_cache,delta_hits,full_evals,member_sims,member_reuses",
-        csv,
+        "host_threads,groups,iters,wall_s,delta_hits,full_evals,member_sims,member_reuses",
+        vec![format!(
+            "{host},{groups},{iters},{wall:.4},{},{},{},{}",
+            s.delta_hits, s.full_evals, s.member_sims, s.member_reuses,
+        )],
     )
     .expect("write sa_delta.csv");
     println!(
-        "sa_delta: {groups} groups, {iters} iters — seed(full,nocache) {t_seed:.3}s  \
-         full+cache {t_full:.3}s  delta+cache {t_delta:.3}s  \
-         ({speedup:.2}x vs full+cache, {speedup_vs_seed:.2}x vs seed; \
-         layer records reused {member_reuse_pct:.1}%)"
+        "sa_delta: {groups} groups, {iters} iters — {wall:.3}s \
+         (layer records reused {member_reuse_pct:.1}%)"
     );
 
-    // Criterion pair on a smaller budget for statistically-sampled
-    // per-configuration numbers.
+    // Criterion sample on a smaller budget for a statistically-sampled
+    // number.
     let small = sa_iters(150, 800);
-    let small_cfg = |delta: bool| MappingOptions {
-        sa: SaOptions {
-            iters: small,
-            seed: 42,
-            threads: 1,
-            delta,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    c.bench_function("sa/googlenet_full_reeval", |b| {
-        b.iter(|| std::hint::black_box(engine.map(&dnn, batch, &small_cfg(false)).report.delay_s))
-    });
     c.bench_function("sa/googlenet_delta", |b| {
-        b.iter(|| std::hint::black_box(engine.map(&dnn, batch, &small_cfg(true)).report.delay_s))
+        b.iter(|| std::hint::black_box(engine.map(&dnn, batch, &cfg(small)).report.delay_s))
     });
 }
 

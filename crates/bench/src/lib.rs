@@ -1,7 +1,8 @@
 //! Shared harness utilities for the experiment benches.
 //!
 //! Every table and figure of the paper's evaluation has a `[[bench]]`
-//! target in `benches/` (see DESIGN.md for the experiment index). All
+//! target in `benches/` (`docs/CONCORDANCE.md` maps each paper claim to
+//! the harness that regenerates it). All
 //! harnesses honour two environment variables:
 //!
 //! * `GEMINI_DSE_MODE=quick|full` — `quick` (default) subsamples DSE

@@ -185,9 +185,9 @@ pub struct DseRecord {
     /// (`None` for candidates the policy did not re-score).
     pub fluid: Option<FluidRescore>,
     /// SA evaluation counters summed over this candidate's mapping
-    /// runs (cache hits/misses, delta hits, full evals, member-layer
-    /// sims/reuses); the cost fields are zero — per-DNN costs live in
-    /// `per_dnn`.
+    /// runs (delta hits, full evals, member-layer sims/reuses; the
+    /// cache counters stay 0, since the staged SA keeps no memo cache);
+    /// the cost fields are zero — per-DNN costs live in `per_dnn`.
     pub sa_stats: crate::sa::SaStats,
     /// Rung-0 bound diagnostics (`None` when the DSE ran with
     /// [`BoundMode::Off`]).

@@ -113,7 +113,7 @@ impl<'a> MappingEngine<'a> {
     }
 
     /// G-Map: DP graph partition, stripe initialization, SA exploration
-    /// (parallel per-group chains with memoized evaluation).
+    /// (parallel per-group chains with incremental evaluation).
     pub fn map(&self, dnn: &Dnn, batch: u32, opts: &MappingOptions) -> MappedDnn {
         self.anneal(dnn, batch, opts, |g| stripe_lms(dnn, self.ev.arch(), g))
     }

@@ -97,7 +97,6 @@ struct State {
 /// behind; those fall back to a full rebuild on their next use.
 struct DeltaPool {
     states: Vec<Option<GroupEvalState>>,
-    delta: bool,
     /// Cold builds of never-seen slots (`GroupEvalState::new` keeps its
     /// own counters at zero, so the pool accounts them here — otherwise
     /// `full_evals`/`member_sims` would undercount one whole-group
@@ -106,10 +105,9 @@ struct DeltaPool {
 }
 
 impl DeltaPool {
-    fn new(n: usize, delta: bool) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             states: (0..n).map(|_| None).collect(),
-            delta,
             cold: DeltaStats::default(),
         }
     }
@@ -136,7 +134,7 @@ impl DeltaPool {
         let slot = &mut self.states[g];
         let r = match slot {
             Some(st) => {
-                let dirty = if self.delta { st.diff_dirty(&gm) } else { None };
+                let dirty = st.diff_dirty(&gm);
                 st.advance(ev, dnn, &gm, dirty.as_deref())
             }
             None => {
@@ -181,20 +179,17 @@ pub fn optimize_joint(
 ) -> JointOutcome {
     let arch = ev.arch().clone();
     let mut rng = StdRng::seed_from_u64(opts.sa.seed);
-    // One memo cache for the whole run: partition moves oscillate
-    // between a handful of stripe states, which become cache hits.
-    let mut cache = if opts.sa.cache {
-        EvalCache::new()
-    } else {
-        EvalCache::with_capacity(0)
-    };
+    // One memo cache for the whole run: every SPM move re-evaluates the
+    // moved group's consumers, and partition moves return to earlier
+    // stripe states, so a large share of evaluations are repeats.
+    let mut cache = EvalCache::new();
 
     let lms: Vec<Lms> = init
         .groups
         .iter()
         .map(|g| stripe_lms(dnn, &arch, g))
         .collect();
-    let mut pool = DeltaPool::new(init.groups.len(), opts.sa.delta);
+    let mut pool = DeltaPool::new(init.groups.len());
     let mut st = State {
         partition: init,
         lms,

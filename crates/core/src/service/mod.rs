@@ -127,16 +127,10 @@ pub fn preset(name: &str) -> Option<ArchConfig> {
     }
 }
 
-/// One-line summary of the SA engine's evaluation counters: memo-cache
-/// hit rate, incremental (delta) vs. full evaluations, and the share of
-/// per-layer stage records reused instead of re-simulated.
+/// One-line summary of the SA engine's evaluation counters:
+/// incremental (delta) vs. full evaluations, and the share of per-layer
+/// stage records reused instead of re-simulated.
 pub fn sa_counter_line(s: &SaStats) -> String {
-    let lookups = s.cache_hits + s.cache_misses;
-    let cache_pct = if lookups == 0 {
-        0.0
-    } else {
-        s.cache_hits as f64 / lookups as f64 * 100.0
-    };
     let members = s.member_sims + s.member_reuses;
     let reuse_pct = if members == 0 {
         0.0
@@ -144,9 +138,8 @@ pub fn sa_counter_line(s: &SaStats) -> String {
         s.member_reuses as f64 / members as f64 * 100.0
     };
     format!(
-        "SA evals: {} cache hits ({cache_pct:.1}%), {} delta, {} full; \
-         layer records reused {reuse_pct:.1}% ({}/{})",
-        s.cache_hits, s.delta_hits, s.full_evals, s.member_reuses, members
+        "SA evals: {} delta, {} full; layer records reused {reuse_pct:.1}% ({}/{})",
+        s.delta_hits, s.full_evals, s.member_reuses, members
     )
 }
 

@@ -8,7 +8,7 @@
 //! schedule; exact NAS-found channel multipliers are not public in the
 //! paper, so round numbers of the same magnitude are used. The mapper
 //! only consumes shapes and edges, so this preserves the workload's
-//! mapping-relevant character (documented in DESIGN.md).
+//! mapping-relevant character.
 
 use crate::graph::{Dnn, LayerId};
 use crate::layer::PoolKind;

@@ -1,12 +1,20 @@
 //! Memoized group evaluation.
 //!
-//! The SA engine proposes, rejects and re-proposes spatial-mapping
-//! candidates; a large share of the schemes it asks the evaluator about
-//! are states it has already visited (rejected moves retried later,
-//! oscillation around a local optimum, consumer groups re-checked under
-//! an unchanged flow overlay). [`EvalCache`] sits in front of
-//! [`Evaluator::evaluate_group`] and returns the stored [`GroupReport`]
-//! for any [`GroupMapping`] it has evaluated before.
+//! [`EvalCache`] sits in front of [`Evaluator::evaluate_group`] and
+//! returns the stored [`GroupReport`] for any [`GroupMapping`] it has
+//! evaluated before. It pays where the same mappings really do come
+//! back:
+//!
+//! * the `gemini serve` daemon replays each mapping request's final
+//!   T-Map/G-Map group mappings through one shared cache, so repeated
+//!   workloads across requests hit instead of re-simulating;
+//! * the joint partition + SPM annealer re-evaluates a moved group's
+//!   consumers on every SPM move, and its partition moves return to
+//!   earlier stripe states.
+//!
+//! The staged SA chains do not use it: a chain rarely proposes a state
+//! it has seen before (a few percent of proposals), so they evaluate
+//! every move incrementally instead ([`crate::GroupEvalState`]).
 //!
 //! The key is the parsed mapping itself (plus the batch size), compared
 //! by full structural equality — a hash collision can cost a probe but
@@ -16,11 +24,12 @@
 //! the cache on or off, warm or cold, capped or uncapped.
 //!
 //! One-shot runs default to an uncapped cache ([`EvalCache::new`]): a
-//! single SA exploration is bounded by its iteration budget, so the
-//! cache is too. Long-running processes (the `gemini serve` daemon)
-//! must instead construct with [`EvalCache::with_capacity`], which
-//! evicts the oldest entry once full and counts evictions so operators
-//! can see when the working set exceeds the cap.
+//! single joint exploration or CLI request is bounded by its iteration
+//! budget, so the cache is too. Long-running processes (the
+//! `gemini serve` daemon) must instead construct with
+//! [`EvalCache::with_capacity`], which evicts the oldest entry once
+//! full and counts evictions so operators can see when the working set
+//! exceeds the cap.
 
 use std::collections::hash_map::DefaultHasher;
 // tidy:allow(hash-collection, reason = "u64-keyed bucket store, probed and mutated by key only, never iterated; eviction order comes from the explicit `order` VecDeque")
@@ -34,10 +43,10 @@ use crate::mapping::GroupMapping;
 
 /// A memoizing wrapper around [`Evaluator::evaluate_group`].
 ///
-/// Not internally synchronized: each SA chain owns a private cache, so
-/// lookups are lock-free and the hit pattern is independent of how many
-/// chains run concurrently (a requirement for reproducibility at any
-/// thread count).
+/// Not internally synchronized: the joint annealer owns a private
+/// cache, so its lookups are lock-free, and the daemon wraps its shared
+/// cache in a mutex. Either way a hit returns exactly the report a
+/// fresh evaluation would, so results never depend on the hit pattern.
 #[derive(Debug)]
 pub struct EvalCache {
     /// Buckets keyed by the mapping's structural hash; each entry keeps
@@ -47,9 +56,9 @@ pub struct EvalCache {
     /// Not a plain `HashMap<(GroupMapping, u32), GroupReport>` on
     /// purpose: `HashMap::get` would need an owned `(GroupMapping, u32)`
     /// probe key, forcing a multi-allocation clone of the mapping on
-    /// every lookup of the SA hot loop. Pre-hashing by `u64` probes
-    /// allocation-free; equality against the stored key preserves the
-    /// same collision guarantee the std map gives.
+    /// every lookup of the annealer's hot loop. Pre-hashing by `u64`
+    /// probes allocation-free; equality against the stored key
+    /// preserves the same collision guarantee the std map gives.
     // tidy:allow(hash-collection, reason = "probed and mutated by key only, never iterated; iteration order cannot reach any output")
     map: HashMap<u64, Vec<(u64, GroupMapping, u32, GroupReport)>>,
     /// Insertion order as `(bucket hash, seq)`, oldest first. Only
@@ -66,8 +75,8 @@ pub struct EvalCache {
 
 /// Opaque pre-computed cache key returned by an [`EvalCache::lookup`]
 /// miss, so the follow-up [`EvalCache::insert`] does not re-hash the
-/// mapping (an `O(members × parts)` structural hash on the SA hot
-/// loop, where misses dominate).
+/// mapping (an `O(members × parts)` structural hash on the annealer's
+/// hot loop).
 #[derive(Debug)]
 pub struct MissKey(u64);
 
@@ -87,7 +96,7 @@ impl Default for EvalCache {
 }
 
 impl EvalCache {
-    /// An empty, uncapped cache — the one-shot default, where the SA
+    /// An empty, uncapped cache — the one-shot default, where the
     /// iteration budget already bounds how many entries can exist.
     pub fn new() -> Self {
         Self {

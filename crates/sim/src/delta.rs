@@ -36,7 +36,7 @@ pub struct DeltaStats {
     /// member layers (the incremental fast path).
     pub delta_hits: u64,
     /// Proposals that rebuilt every member record (no usable footprint,
-    /// structural change, or delta evaluation disabled).
+    /// a structural change, or a dirty closure covering every member).
     pub full_evals: u64,
     /// Member-layer records re-simulated across all proposals.
     pub member_sims: u64,
@@ -87,10 +87,12 @@ impl DeltaProposal {
 /// [`GroupMapping`], its per-member stage records, and the folded
 /// report.
 ///
-/// The typical annealing loop is
-/// `propose` → (Metropolis) → `commit` or drop; callers that accept a
-/// report obtained elsewhere (e.g. from an [`crate::EvalCache`] hit)
-/// re-synchronize with [`GroupEvalState::advance`].
+/// The SA chain loop is `propose` → (Metropolis) → `commit` or drop,
+/// so every applied move is simulated exactly once. Callers that use
+/// the state as a pure evaluation cache rather than as the committed
+/// state (the joint annealer, which fronts it with an
+/// [`crate::EvalCache`] and lets it drift through rejected trials)
+/// propose and commit in one step with [`GroupEvalState::advance`].
 #[derive(Debug)]
 pub struct GroupEvalState {
     gm: GroupMapping,
@@ -188,10 +190,10 @@ impl GroupEvalState {
     ///
     /// `dirty` is the caller's declared footprint *relative to the
     /// committed mapping* — for the SA operators this is the per-op
-    /// dirty-layer set; pass `None` to force a full rebuild (delta
-    /// evaluation disabled, or no footprint is known). A footprint is
-    /// only usable when the member count and batch unit are unchanged;
-    /// otherwise the proposal silently falls back to a full rebuild.
+    /// dirty-layer set; pass `None` to force a full rebuild (no
+    /// footprint is known). A footprint is only usable when the member
+    /// count and batch unit are unchanged; otherwise the proposal
+    /// silently falls back to a full rebuild.
     ///
     /// Debug builds assert the result is bit-identical to a cold
     /// [`Evaluator::evaluate_group`] of `gm`; an under-declared
@@ -317,9 +319,11 @@ impl GroupEvalState {
         p.report
     }
 
-    /// Propose-and-commit in one step: re-synchronizes the state to
-    /// `gm` (e.g. after accepting a report that came from a memo-cache
-    /// hit rather than from [`GroupEvalState::propose`]).
+    /// Propose-and-commit in one step: moves the state to `gm` whether
+    /// or not the caller goes on to accept `gm`. The joint annealer
+    /// evaluates every memo-cache miss this way, since its states only
+    /// need to stay close to the mappings it asks about, not equal to
+    /// the accepted ones.
     pub fn advance(
         &mut self,
         ev: &Evaluator,

@@ -1,12 +1,11 @@
 //! Energy model.
 //!
 //! Per-operation energies follow the published orderings the paper's
-//! conclusions rest on: DRAM >> D2D >> NoC ~ GLB >> MAC (see DESIGN.md
-//! for sources and the substitution note). The NoC router energy is
-//! constant per flit regardless of traffic pattern, as the paper argues
-//! citing Orion. Two D2D models are provided (Sec. V-B2): GRS-style
-//! clock-forwarding links whose energy is proportional to traffic
-//! (default, matching the Simba baseline), and SerDes-style
+//! conclusions rest on: DRAM >> D2D >> NoC ~ GLB >> MAC. The NoC router
+//! energy is constant per flit regardless of traffic pattern, as the
+//! paper argues citing Orion. Two D2D models are provided (Sec. V-B2):
+//! GRS-style clock-forwarding links whose energy is proportional to
+//! traffic (default, matching the Simba baseline), and SerDes-style
 //! clock-embedded links that burn power whenever on.
 
 use serde::{Deserialize, Serialize};

@@ -148,7 +148,9 @@ pub const CONGESTION_WEIGHT: f64 = 4.0;
 
 /// Tunable evaluator mechanisms.
 ///
-/// Defaults reproduce the calibrated model documented in DESIGN.md; the
+/// Defaults are the model every mapping path uses (the congestion weight
+/// can be re-calibrated against the packet simulator, see
+/// `docs/ARCHITECTURE.md`, "The NoC fidelity ladder in the DSE"); the
 /// `ablation_model` bench toggles each knob to quantify its contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalOptions {
@@ -580,7 +582,8 @@ impl Evaluator {
             // Beyond the saturated link, average utilization costs
             // queueing delay: mappings that move the same bytes over
             // longer paths are slower even before any link saturates
-            // (congestion surcharge; see DESIGN.md).
+            // (congestion surcharge; see `docs/ARCHITECTURE.md`, "The
+            // NoC fidelity ladder in the DSE").
             let t = t + self.opts.congestion_weight * traffic.mean_link_time(&self.net);
             if t > stage {
                 stage = t;

@@ -194,16 +194,16 @@ fn hetero_pruning_is_invisible_on_the_class_assignment_sweep() {
 }
 
 /// The bound-seeded SA chain start (`SaOptions::bound_seed`) must not
-/// perturb the delta-evaluation bit-identity contract: with the seed
-/// swap on, delta and full re-evaluation still land on bit-identical
-/// mappings, and the swap itself is deterministic.
+/// perturb the SA determinism contract: with the seed swap on or off, a
+/// configuration reproduces itself exactly, and its 1- and 4-thread
+/// runs land on bit-identical mappings.
 #[test]
 fn bound_seeded_sa_bit_identical_with_delta_on_and_off() {
     let dnn = gemini::model::zoo::tiny_resnet();
     let arch = gemini::arch::presets::g_arch_72();
     let ev = Evaluator::new(&arch);
     let engine = MappingEngine::new(&ev);
-    let run = |bound_seed: bool, delta: bool| {
+    let run = |bound_seed: bool, threads: usize| {
         engine.map(
             &dnn,
             4,
@@ -211,8 +211,7 @@ fn bound_seeded_sa_bit_identical_with_delta_on_and_off() {
                 sa: SaOptions {
                     iters: 120,
                     seed: 3,
-                    threads: 1,
-                    delta,
+                    threads,
                     bound_seed,
                     ..Default::default()
                 },
@@ -220,32 +219,32 @@ fn bound_seeded_sa_bit_identical_with_delta_on_and_off() {
             },
         )
     };
+    let cost =
+        |m: &gemini::core::engine::MappedDnn| m.sa_stats.expect("G-Map has SA stats").final_cost;
     for bound_seed in [false, true] {
-        let full = run(bound_seed, false);
-        let delta = run(bound_seed, true);
-        assert_eq!(
-            full.report.delay_s.to_bits(),
-            delta.report.delay_s.to_bits(),
-            "delta diverged (bound_seed={bound_seed})"
-        );
-        assert_eq!(
-            full.report.energy.total().to_bits(),
-            delta.report.energy.total().to_bits(),
-            "delta energy diverged (bound_seed={bound_seed})"
-        );
-        let cost = |m: &gemini::core::engine::MappedDnn| {
-            m.sa_stats.expect("G-Map has SA stats").final_cost
-        };
-        assert_eq!(
-            cost(&full).to_bits(),
-            cost(&delta).to_bits(),
-            "delta SA cost diverged (bound_seed={bound_seed})"
-        );
+        let seq = run(bound_seed, 1);
         // Re-running the same configuration reproduces itself exactly.
-        let again = run(bound_seed, true);
+        let again = run(bound_seed, 1);
         assert_eq!(
-            delta.report.delay_s.to_bits(),
-            again.report.delay_s.to_bits()
+            seq.report.delay_s.to_bits(),
+            again.report.delay_s.to_bits(),
+            "rerun diverged (bound_seed={bound_seed})"
+        );
+        let par = run(bound_seed, 4);
+        assert_eq!(
+            seq.report.delay_s.to_bits(),
+            par.report.delay_s.to_bits(),
+            "4-thread delay diverged (bound_seed={bound_seed})"
+        );
+        assert_eq!(
+            seq.report.energy.total().to_bits(),
+            par.report.energy.total().to_bits(),
+            "4-thread energy diverged (bound_seed={bound_seed})"
+        );
+        assert_eq!(
+            cost(&seq).to_bits(),
+            cost(&par).to_bits(),
+            "4-thread SA cost diverged (bound_seed={bound_seed})"
         );
     }
 }
