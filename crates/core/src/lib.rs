@@ -23,9 +23,9 @@
 //!   sweeps over workloads × architectures × batches with a resumable
 //!   journal and a multi-objective Pareto archive (docs/CAMPAIGNS.md);
 //! * [`service`] — the request-handling engine layer: typed
-//!   request/response protocol, warm caches, bounded priority queue and
-//!   the `gemini serve` daemon transport, shared with the one-shot CLI
-//!   verbs (docs/SERVE.md);
+//!   request/response protocol, a warm request memo, bounded priority
+//!   queue and the `gemini serve` daemon transport, shared with the
+//!   one-shot CLI verbs (docs/SERVE.md);
 //! * [`report`] — CSV output helpers for the experiment harnesses.
 //!
 //! # Example: map a DNN onto the paper's G-Arch

@@ -7,9 +7,8 @@
 //! so the memo now lives here, generic over its key and value, and both
 //! layers share one implementation (and one set of counters).
 //!
-//! Like [`gemini_sim::EvalCache`] below it, the memo is
-//! *results-transparent*: a stored value is exactly what a fresh
-//! evaluation would produce (every producer in this workspace is
+//! The memo is *results-transparent*: a stored value is exactly what a
+//! fresh evaluation would produce (every producer in this workspace is
 //! deterministic), so memoization changes wall-clock time only, never
 //! results. That is the property that lets a daemon answer a repeated
 //! request from memory while still being byte-identical to a cold

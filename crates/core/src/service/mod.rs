@@ -1,27 +1,22 @@
 //! The request-handling service layer: one engine, two front ends.
 //!
-//! Historically every `gemini map/dse/campaign` invocation was wired
-//! directly inside the CLI binary — it built an [`EvalCache`], a
-//! mapping memo and a worker pool, used them once and threw them away.
-//! This module extracts that core into a [`ServiceState`] that *owns*
-//! the warm evaluation state, takes typed [`proto::Request`] bodies and
-//! produces JSON payloads, so the same handler serves two transports:
+//! A [`ServiceState`] owns the warm state — one request memo — takes
+//! typed [`proto::Request`] bodies and produces JSON payloads, so the
+//! same handler serves two transports:
 //!
 //! * **one-shot**: the CLI verbs construct a [`ServiceState::one_shot`]
 //!   and call [`ServiceState::handle`] in-process;
 //! * **daemon**: `gemini serve` ([`server::Server`]) keeps one
 //!   [`ServiceState`] alive across requests on a TCP socket, so a
-//!   repeated request is answered from the request memo and mapping
-//!   evaluations warm the shared [`EvalCache`].
+//!   repeated request is answered from the request memo.
 //!
 //! # The determinism contract
 //!
 //! Every payload is a *pure function of the request* (plus, for
 //! campaigns, the journal state on disk — exactly as the one-shot CLI
-//! behaves). Warm caches are results-transparent: the memo stores what
-//! a cold evaluation would produce bit for bit, and the shared eval
-//! cache only re-plays deterministic evaluations. Volatile daemon
-//! state — hit/miss counters, queue depth, totals — is confined to the
+//! behaves). The memo is results-transparent: it stores what a cold
+//! evaluation would produce bit for bit. Volatile daemon state —
+//! hit/miss counters, queue depth, totals — is confined to the
 //! response's `service` section, never the payload. That split is what
 //! lets a test diff a CLI run against the same request over the socket
 //! byte for byte.
@@ -41,10 +36,9 @@ pub use server::{ServeOptions, ServeSummary, Server};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use gemini_arch::ArchConfig;
-use gemini_sim::{EvalCache, Evaluator};
+use gemini_sim::Evaluator;
 
 use crate::campaign::value::Value;
 use crate::campaign::{
@@ -55,15 +49,16 @@ use crate::dse::{run_dse, DseOptions, DseResult, DseSpec, Objective};
 use crate::engine::{MappingEngine, MappingOptions};
 use crate::sa::{SaOptions, SaStats};
 
-/// Default [`EvalCache`] entry cap for a serving process. One-shot runs
-/// stay uncapped (their iteration budget bounds them); a daemon must
-/// not grow without limit.
-pub const SERVE_EVAL_CACHE_CAP: usize = 1 << 16;
-
-/// Default request-memo entry cap for a serving process. Entries are
-/// whole rendered payloads, so the cap is much smaller than the
-/// eval-cache cap.
+/// Request-memo entry cap for a serving process. One-shot runs stay
+/// uncapped (their single request bounds them); a daemon must not grow
+/// without limit.
 pub const SERVE_MEMO_CAP: usize = 256;
+
+/// The serving state's former eval-cache cap, now an alias of
+/// [`SERVE_MEMO_CAP`], so `ServiceState::serving(SERVE_EVAL_CACHE_CAP)`
+/// builds exactly the daemon's state.
+#[deprecated(note = "the service keeps no eval cache; use SERVE_MEMO_CAP")]
+pub const SERVE_EVAL_CACHE_CAP: usize = SERVE_MEMO_CAP;
 
 /// A handler failure: a stable code plus human-readable detail. The
 /// CLI prints the detail to stderr; the daemon wraps it in an
@@ -274,14 +269,9 @@ fn campaign_result_lines(spec: &CampaignSpec, res: &CampaignResult, lines: &mut 
     }
 }
 
-/// The engine-facing service core: warm evaluation state plus the
-/// per-verb handlers, shared by the one-shot CLI and the daemon.
+/// The engine-facing service core: the request memo plus the per-verb
+/// handlers, shared by the one-shot CLI and the daemon.
 pub struct ServiceState {
-    /// The shared group-evaluation cache. Mapping requests re-play
-    /// their final T-Map/G-Map group mappings through it, so repeated
-    /// workloads warm it across requests (results are unaffected —
-    /// cached reports are bit-identical to fresh evaluations).
-    eval_cache: Mutex<EvalCache>,
     /// Whole-payload memo keyed by the request's semantic parameters
     /// (thread counts excluded: they never change results). Campaign
     /// requests are not memoized — they have disk side effects.
@@ -291,24 +281,22 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// State for a one-shot CLI run: uncapped caches (the single
-    /// request bounds them).
+    /// State for a one-shot CLI run: an uncapped memo (the single
+    /// request bounds it).
     pub fn one_shot() -> Self {
         Self {
-            eval_cache: Mutex::new(EvalCache::new()),
             request_memo: MappingMemo::new(),
             served: AtomicU64::new(0),
         }
     }
 
-    /// State for a long-running daemon: the eval cache holds at most
-    /// `eval_cache_cap` entries (FIFO eviction, see
-    /// [`EvalCache::with_capacity`]) and the request memo at most
+    /// State for a long-running daemon: the request memo holds at most
+    /// `memo_cap` entries (FIFO eviction, see
+    /// [`MappingMemo::with_capacity`]); the daemon passes
     /// [`SERVE_MEMO_CAP`].
-    pub fn serving(eval_cache_cap: usize) -> Self {
+    pub fn serving(memo_cap: usize) -> Self {
         Self {
-            eval_cache: Mutex::new(EvalCache::with_capacity(eval_cache_cap)),
-            request_memo: MappingMemo::with_capacity(SERVE_MEMO_CAP),
+            request_memo: MappingMemo::with_capacity(memo_cap),
             served: AtomicU64::new(0),
         }
     }
@@ -342,49 +330,26 @@ impl ServiceState {
         r
     }
 
-    /// Cumulative cache hits: the single number the acceptance
+    /// Cumulative request-memo hits: the single number the acceptance
     /// contract tracks ("a second identical request over a warm daemon
     /// reports a strictly higher cache hit count").
     pub fn cache_hits(&self) -> u64 {
-        self.eval_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .hits()
-            + self.request_memo.hits()
+        self.request_memo.hits()
     }
 
     /// The volatile daemon-state snapshot attached to every response as
     /// the `service` section (and returned by the `stats` verb).
     pub fn counters(&self) -> Value {
-        let (ev_hits, ev_misses, ev_evict, ev_len) = {
-            let c = self
-                .eval_cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // tidy:allow(lock-nesting, reason = "c.len() is EvalCache::len (sim crate, lock-free); gemini-tidy's name-based call resolution confuses it with RequestQueue::len. No queue acquisition happens under the cache guard.")
-            (c.hits(), c.misses(), c.evictions(), c.len())
-        };
         let m = &self.request_memo;
-        let mut eval = BTreeMap::new();
-        eval.insert("hits".to_string(), Value::Num(ev_hits as f64));
-        eval.insert("misses".to_string(), Value::Num(ev_misses as f64));
-        eval.insert("evictions".to_string(), Value::Num(ev_evict as f64));
-        eval.insert("entries".to_string(), Value::from(ev_len));
+        let (hits, misses) = (m.hits() as f64, m.misses() as f64);
         let mut memo = BTreeMap::new();
-        memo.insert("hits".to_string(), Value::Num(m.hits() as f64));
-        memo.insert("misses".to_string(), Value::Num(m.misses() as f64));
+        memo.insert("hits".to_string(), Value::Num(hits));
+        memo.insert("misses".to_string(), Value::Num(misses));
         memo.insert("evictions".to_string(), Value::Num(m.evictions() as f64));
         memo.insert("entries".to_string(), Value::from(m.len()));
         let mut t = BTreeMap::new();
-        t.insert(
-            "cache_hits".to_string(),
-            Value::Num((ev_hits + m.hits()) as f64),
-        );
-        t.insert(
-            "cache_misses".to_string(),
-            Value::Num((ev_misses + m.misses()) as f64),
-        );
-        t.insert("eval_cache".to_string(), Value::Table(eval));
+        t.insert("cache_hits".to_string(), Value::Num(hits));
+        t.insert("cache_misses".to_string(), Value::Num(misses));
         t.insert("request_memo".to_string(), Value::Table(memo));
         t.insert(
             "served".to_string(),
@@ -461,7 +426,6 @@ impl ServiceState {
             if let Some(s) = &g.sa_stats {
                 lines.push(sa_counter_line(s));
             }
-            let g_mappings = g.group_mappings(&dnn);
             if p.stats {
                 lines.push(String::new());
                 lines
@@ -471,7 +435,7 @@ impl ServiceState {
                     "group", "cores", "busy", "MAC eff", "D2D", "analytic", "fluid", "packet"
                 ));
                 let cfg = gemini_noc::packetsim::PacketSimConfig::default();
-                for (gi, gm) in g_mappings.iter().enumerate() {
+                for (gi, gm) in g.group_mappings(&dnn).iter().enumerate() {
                     let u = gemini_sim::utilization(&ev, &dnn, gm, p.batch);
                     let f = gemini_sim::check_group(&ev, &dnn, gm, &cfg, 512e3);
                     lines.push(format!(
@@ -485,21 +449,6 @@ impl ServiceState {
                         f.fluid_s * 1e6,
                         f.packet_s * 1e6
                     ));
-                }
-            }
-
-            // Warm the shared eval cache with the final mappings:
-            // repeated workloads across requests then hit instead of
-            // re-simulating. Results-transparent (cached reports are
-            // exactly what the evaluator returns), so the payload is
-            // unaffected.
-            {
-                let mut cache = self
-                    .eval_cache
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                for gm in t.group_mappings(&dnn).iter().chain(g_mappings.iter()) {
-                    cache.evaluate(&ev, &dnn, gm, p.batch);
                 }
             }
 
@@ -538,6 +487,11 @@ impl ServiceState {
             )));
         }
         check_batch(p.batch)?;
+        if p.stride == 0 {
+            return Err(ServiceError::bad_request(
+                "invalid stride 0: must be at least 1",
+            ));
+        }
         let Some((fidelity, bound)) = crate::fidelity::parse_policy(&p.fidelity, p.rerank_k) else {
             return Err(ServiceError::bad_request(format!(
                 "unknown fidelity policy '{}'; use analytic|rerank|validate, \
@@ -807,34 +761,22 @@ mod tests {
     }
 
     #[test]
-    fn different_iters_share_the_eval_cache_via_tmap_replay() {
-        // The T-Map stripe mapping ignores the SA budget, so two map
-        // requests differing only in `iters` replay identical T-Map
-        // group mappings through the shared eval cache: the second one
-        // must score eval-cache hits even though the memo misses.
+    fn the_request_memo_is_the_only_counted_cache() {
+        // Two map requests that differ only in `iters` are two memo
+        // misses, and nothing else the service keeps counts a probe.
         let state = ServiceState::one_shot();
         let _ = state.handle(&map_req(30)).unwrap();
-        let ev_hits_before = state
-            .counters()
-            .get("eval_cache")
-            .unwrap()
-            .get("hits")
-            .unwrap()
-            .as_num()
-            .unwrap();
         let _ = state.handle(&map_req(40)).unwrap();
-        let ev_hits_after = state
-            .counters()
-            .get("eval_cache")
-            .unwrap()
-            .get("hits")
-            .unwrap()
-            .as_num()
-            .unwrap();
-        assert!(
-            ev_hits_after > ev_hits_before,
-            "warm T-Map replay must hit: {ev_hits_before} -> {ev_hits_after}"
+        let Value::Table(c) = state.counters() else {
+            panic!("counters are a table");
+        };
+        let keys: Vec<&str> = c.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            ["cache_hits", "cache_misses", "request_memo", "served"]
         );
+        assert_eq!(c.get("cache_misses").and_then(Value::as_num), Some(2.0));
+        assert_eq!(c.get("cache_hits").and_then(Value::as_num), Some(0.0));
     }
 
     #[test]
@@ -950,7 +892,7 @@ mod tests {
         assert_eq!(p.get("pong").unwrap().as_bool(), Some(true));
         let s = state.handle(&RequestBody::Stats).unwrap();
         assert!(s.get("cache_hits").is_some());
-        assert!(s.get("eval_cache").unwrap().get("evictions").is_some());
+        assert!(s.get("request_memo").unwrap().get("evictions").is_some());
         let d = state.handle(&RequestBody::Shutdown).unwrap();
         assert_eq!(d.get("draining").unwrap().as_bool(), Some(true));
     }

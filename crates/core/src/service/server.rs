@@ -64,8 +64,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Bounded queue capacity; pushes beyond it answer `busy`.
     pub queue_cap: usize,
-    /// Shared [`gemini_sim::EvalCache`] entry cap (FIFO eviction).
-    pub eval_cache_cap: usize,
 }
 
 impl Default for ServeOptions {
@@ -73,7 +71,6 @@ impl Default for ServeOptions {
         Self {
             workers: 0,
             queue_cap: 64,
-            eval_cache_cap: super::SERVE_EVAL_CACHE_CAP,
         }
     }
 }
@@ -401,6 +398,7 @@ fn handle_line(
 mod tests {
     use super::*;
     use crate::campaign::value::parse_json;
+    use crate::service::SERVE_MEMO_CAP;
     use std::io::{BufRead, BufReader};
 
     fn send_lines(addr: SocketAddr, lines: &[&str]) -> Vec<Value> {
@@ -425,12 +423,11 @@ mod tests {
             ServeOptions {
                 workers: 2,
                 queue_cap: 8,
-                eval_cache_cap: 1 << 12,
             },
         )
         .unwrap();
         let addr = server.local_addr().unwrap();
-        let state = ServiceState::serving(1 << 12);
+        let state = ServiceState::serving(SERVE_MEMO_CAP);
         std::thread::scope(|s| {
             let daemon = s.spawn(|| server.run(&state).unwrap());
 
@@ -518,12 +515,11 @@ mod tests {
             ServeOptions {
                 workers: 1,
                 queue_cap: 2,
-                eval_cache_cap: 16,
             },
         )
         .unwrap();
         let addr = server.local_addr().unwrap();
-        let state = ServiceState::serving(16);
+        let state = ServiceState::serving(SERVE_MEMO_CAP);
         std::thread::scope(|s| {
             let daemon = s.spawn(|| server.run(&state).unwrap());
 

@@ -1,11 +1,10 @@
 //! Inter-procedural lock-order discipline for the service layer.
 //!
-//! The daemon holds several mutex-guarded states: the shared eval
-//! cache (`ServiceState::eval_cache`), the request memo, the bounded
-//! request queue and each connection's write half. A deadlock needs
-//! two locks held in conflicting orders on two threads — exactly the
-//! kind of bug that survives every single-threaded test and appears
-//! under production load. This lint makes acquisition order a
+//! The daemon holds several mutex-guarded states: the request memo,
+//! the bounded request queue and each connection's write half. A
+//! deadlock needs two locks held in conflicting orders on two threads —
+//! exactly the kind of bug that survives every single-threaded test and
+//! appears under production load. This lint makes acquisition order a
 //! statically-checked property:
 //!
 //! 1. **Acquisition sites.** Every `recv.lock()` call in every
@@ -25,10 +24,11 @@
 //! 3. **Verdicts.** Any cycle in the acquisition-order graph is a
 //!    [`LOCK_CYCLE`] (a self-edge is a length-1 cycle:
 //!    `std::sync::Mutex` is not reentrant, so re-acquiring a held
-//!    mutex self-deadlocks). Holding the eval-cache and request-queue
-//!    mutexes *together*, in either order, is a [`LOCK_NESTING`] — the
-//!    queue mutex sits under every push/pop on the hot accept path and
-//!    must never wait on an evaluation-length cache hold.
+//!    mutex self-deadlocks). Holding a cache mutex (any receiver named
+//!    `*cache*`) and the request-queue mutex *together*, in either
+//!    order, is a [`LOCK_NESTING`] — the queue mutex sits under every
+//!    push/pop on the hot accept path and must never wait on an
+//!    evaluation-length cache hold.
 //!
 //! The model is deliberately conservative (guards may be modeled as
 //! living slightly longer than they do; calls resolve by name, not by
@@ -43,7 +43,7 @@ use crate::source::{functions, match_brace, SourceFile};
 
 /// A cycle in the mutex acquisition-order graph.
 pub const LOCK_CYCLE: &str = "lock-cycle";
-/// The eval-cache and request-queue mutexes held together.
+/// A cache mutex and the request-queue mutex held together.
 pub const LOCK_NESTING: &str = "lock-nesting";
 
 /// Mutex classes the nesting check names explicitly.

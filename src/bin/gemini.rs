@@ -36,9 +36,9 @@
 //!   `--steal` to also claim cells no sibling journal has recorded);
 //!   `gemini campaign merge <manifest>` then validates the shard
 //!   journals and writes artifacts byte-identical to an unsharded run;
-//! * `gemini serve --addr HOST:PORT [--workers N] [--queue N]
-//!   [--cache-cap N]` — run the same engine as a persistent daemon:
-//!   line-delimited JSON requests over TCP, warm caches shared across
+//! * `gemini serve --addr HOST:PORT [--workers N] [--queue N]` — run
+//!   the same engine as a persistent daemon: line-delimited JSON
+//!   requests over TCP, a request memo that answers repeats across
 //!   requests, a bounded priority queue with explicit `busy`
 //!   backpressure, and graceful drain on a `shutdown` request or
 //!   SIGTERM (protocol reference: docs/SERVE.md);
@@ -55,7 +55,9 @@
 //!
 //! SA knobs default from the environment (`GEMINI_SA_ITERS`,
 //! `GEMINI_SA_SEED`, `GEMINI_SA_THREADS`); `--iters`/`--threads` win
-//! over the environment. `--threads 0` (the default) uses every core —
+//! over the environment. A numeric flag whose value does not parse is
+//! refused (`invalid --batch 'two'`, exit 1), never replaced by its
+//! default. `--threads 0` (the default) uses every core —
 //! mapping results are bit-identical at any thread count. For `dse`,
 //! `--threads` sets the candidate-sweep worker count instead (SA
 //! chains revert to auto and are pinned to one while the sweep is
@@ -68,7 +70,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
-use gemini::core::service::{check_batch, preset};
+use gemini::core::service::{check_batch, preset, SERVE_MEMO_CAP};
 use gemini::prelude::*;
 
 /// Minimal `--flag value` argument scanner.
@@ -78,12 +80,25 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// `--name N` parsed as a number, `None` when the flag is absent. A
+/// value that does not parse prints `invalid --name 'value'` and exits
+/// 1: falling back to the default would run a request nobody asked
+/// for.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let v = flag(args, name)?;
+    match v.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("invalid {name} '{v}'");
+            std::process::exit(1)
+        }
+    }
+}
+
 /// `--batch N` with a per-verb default; `None`, after printing the
 /// service's refusal, when it is zero.
 fn batch_flag(args: &[String], default: u32) -> Option<u32> {
-    let batch = flag(args, "--batch")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default);
+    let batch = num_flag(args, "--batch").unwrap_or(default);
     if let Err(e) = check_batch(batch) {
         eprintln!("{e}");
         return None;
@@ -105,7 +120,7 @@ fn usage() -> ExitCode {
          gemini campaign <manifest.toml|.json> [--resume] [--threads N] [--out DIR] \
 [--shards N --shard-index K [--steal]]\n  \
          gemini campaign merge <manifest.toml|.json> [--out DIR]\n  \
-         gemini serve --addr HOST:PORT [--workers N] [--queue N] [--cache-cap N]\n  \
+         gemini serve --addr HOST:PORT [--workers N] [--queue N]\n  \
          gemini request --addr HOST:PORT"
     );
     ExitCode::FAILURE
@@ -121,11 +136,10 @@ fn sa_opts(args: &[String], default_iters: u32) -> SaOptions {
     let env_iters = std::env::var("GEMINI_SA_ITERS")
         .ok()
         .and_then(|v| v.trim().parse::<u32>().ok());
-    sa.iters = flag(args, "--iters")
-        .and_then(|v| v.parse().ok())
+    sa.iters = num_flag(args, "--iters")
         .or(env_iters)
         .unwrap_or(default_iters);
-    if let Some(t) = flag(args, "--threads").and_then(|v| v.parse().ok()) {
+    if let Some(t) = num_flag(args, "--threads") {
         sa.threads = t;
     }
     sa
@@ -394,13 +408,11 @@ fn main() -> ExitCode {
             let params = CampaignParams {
                 manifest: manifest.clone(),
                 resume,
-                threads: flag(&args, "--threads")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
+                threads: num_flag(&args, "--threads").unwrap_or(0),
                 out: flag(&args, "--out"),
                 merge,
-                shards: flag(&args, "--shards").and_then(|v| v.parse().ok()),
-                shard_index: flag(&args, "--shard-index").and_then(|v| v.parse().ok()),
+                shards: num_flag(&args, "--shards"),
+                shard_index: num_flag(&args, "--shard-index"),
                 steal: args.iter().any(|a| a == "--steal"),
             };
             // Load and validate client-side first so the pre-run header
@@ -433,9 +445,7 @@ fn main() -> ExitCode {
             run_one_shot(RequestBody::Campaign(params))
         }
         Some("dse") => {
-            let rerank_k: usize = flag(&args, "--rerank-k")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(8);
+            let rerank_k: usize = num_flag(&args, "--rerank-k").unwrap_or(8);
             let mut sa = sa_opts(&args, 300);
             // For the DSE, `--threads` sets the candidate-sweep workers,
             // not the SA chain count (which `sa_opts` would otherwise
@@ -443,20 +453,14 @@ fn main() -> ExitCode {
             // threads): chains revert to auto and `run_dse_over` pins
             // them to 1 while the sweep is parallel. Results are
             // identical either way.
-            let cli_threads: Option<usize> = flag(&args, "--threads").and_then(|v| v.parse().ok());
+            let cli_threads: Option<usize> = num_flag(&args, "--threads");
             if cli_threads.is_some() {
                 sa.threads = 0;
             }
             run_one_shot(RequestBody::Dse(DseParams {
-                tops: flag(&args, "--tops")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(72.0),
-                stride: flag(&args, "--stride")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(29),
-                batch: flag(&args, "--batch")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(64),
+                tops: num_flag(&args, "--tops").unwrap_or(72.0),
+                stride: num_flag(&args, "--stride").unwrap_or(29),
+                batch: num_flag(&args, "--batch").unwrap_or(64),
                 iters: sa.iters,
                 seed: sa.seed,
                 fidelity: flag(&args, "--fidelity").unwrap_or_else(|| "analytic".to_string()),
@@ -469,17 +473,9 @@ fn main() -> ExitCode {
         Some("serve") => {
             let addr = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4816".to_string());
             let opts = ServeOptions {
-                workers: flag(&args, "--workers")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
-                queue_cap: flag(&args, "--queue")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(64),
-                eval_cache_cap: flag(&args, "--cache-cap")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(gemini::core::service::SERVE_EVAL_CACHE_CAP),
+                workers: num_flag(&args, "--workers").unwrap_or(0),
+                queue_cap: num_flag(&args, "--queue").unwrap_or(64),
             };
-            let cache_cap = opts.eval_cache_cap;
             let server = match Server::bind(&addr, opts) {
                 Ok(s) => s,
                 Err(e) => {
@@ -499,7 +495,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            let state = ServiceState::serving(cache_cap);
+            let state = ServiceState::serving(SERVE_MEMO_CAP);
             match server.run(&state) {
                 Ok(s) => {
                     println!(

@@ -200,6 +200,44 @@ fn batch_zero_is_refused_on_every_mapping_verb() {
 }
 
 #[test]
+fn dse_refuses_stride_zero_promptly() {
+    let (ok, out, err) = gemini_within(20, &["dse", "--stride", "0", "--iters", "1"]);
+    assert!(!ok, "--stride 0 must fail");
+    assert_eq!(err.trim(), "invalid stride 0: must be at least 1");
+    assert!(out.is_empty(), "printed before refusing: {out}");
+}
+
+#[test]
+fn unparsable_numeric_flags_are_refused_not_defaulted() {
+    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/manifests/ci_tiny.toml");
+    for (args, refusal) in [
+        (
+            &["map", "two-conv", "--batch", "two", "--iters", "1"][..],
+            "invalid --batch 'two'",
+        ),
+        (
+            &["map", "two-conv", "--iters", "1e3"],
+            "invalid --iters '1e3'",
+        ),
+        (
+            &[
+                "dse", "--tops", "seventy", "--stride", "400", "--iters", "1",
+            ],
+            "invalid --tops 'seventy'",
+        ),
+        (
+            &["campaign", manifest, "--shards", "x", "--shard-index", "0"],
+            "invalid --shards 'x'",
+        ),
+    ] {
+        let (ok, out, err) = gemini_within(20, args);
+        assert!(!ok, "{args:?} must fail");
+        assert_eq!(err.trim(), refusal, "{args:?}");
+        assert!(out.is_empty(), "{args:?} printed before refusing: {out}");
+    }
+}
+
+#[test]
 fn campaign_usage_and_error_paths() {
     let (ok, _, err) = gemini(&[]);
     assert!(!ok);

@@ -339,7 +339,7 @@ fn request_verb_pipes_stdin_to_the_daemon() {
     assert!(by_id(&rs, "s")
         .get("payload")
         .unwrap()
-        .get("eval_cache")
+        .get("request_memo")
         .is_some());
     daemon.shutdown();
 
