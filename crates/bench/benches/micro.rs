@@ -19,7 +19,7 @@ use gemini_core::stripe::stripe_lms;
 use gemini_cost::CostModel;
 use gemini_intracore::{CoreParams, IntraCoreExplorer, PartWorkload};
 use gemini_model::{zoo, LayerId};
-use gemini_noc::{Network, TrafficMap};
+use gemini_noc::{Network, TrafficMap, TreeScratch};
 use gemini_sim::{DramSel, EvalCache, Evaluator};
 
 fn bench_routing(c: &mut Criterion) {
@@ -34,11 +34,11 @@ fn bench_routing(c: &mut Criterion) {
         })
     });
     let dests: Vec<_> = (0..6).map(|x| arch.core_at(x, 5)).collect();
-    let mut tree = Vec::with_capacity(64);
+    let mut tree = TreeScratch::default();
     c.bench_function("noc/multicast_row", |b| {
         b.iter(|| {
-            net.multicast_cores(arch.core_at(0, 0), &dests, &mut tree);
-            std::hint::black_box(tree.len())
+            let links = net.multicast_cores(arch.core_at(0, 0), &dests, &mut tree);
+            std::hint::black_box(links.len())
         })
     });
 }

@@ -9,8 +9,10 @@
 //! The threading shape is deliberately simple and entirely
 //! `std`-based:
 //!
-//! * the caller's thread runs the accept loop (non-blocking listener,
-//!   polled so it can observe shutdown);
+//! * the caller's thread runs the accept loop: a non-blocking listener
+//!   that accepts a connection as soon as it arrives (on Linux it waits
+//!   in `poll(2)`, elsewhere it sleeps between tries) and wakes at least
+//!   every 10 ms to observe shutdown;
 //! * one reader thread per connection decodes lines and either answers
 //!   inline (`ping`/`stats`/`shutdown` — never queued, so a saturated
 //!   daemon still answers probes) or pushes a job onto the shared
@@ -49,6 +51,8 @@ fn install_sigterm_handler() {
         fn signal(signum: i32, handler: usize) -> usize;
     }
     const SIGTERM: i32 = 15;
+    // SAFETY: `on_term` is an `extern "C"` handler that only stores to
+    // an atomic, which is async-signal-safe.
     unsafe {
         signal(SIGTERM, on_term as extern "C" fn(i32) as usize);
     }
@@ -56,6 +60,43 @@ fn install_sigterm_handler() {
 
 #[cfg(not(unix))]
 fn install_sigterm_handler() {}
+
+/// How long the accept loop waits for a connection before it looks at
+/// the shutdown flags again.
+const ACCEPT_WAIT: Duration = Duration::from_millis(10);
+
+/// Waits until `listener` has a connection to accept, or `ACCEPT_WAIT`
+/// has passed.
+#[cfg(target_os = "linux")]
+fn wait_for_connection(listener: &TcpListener) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut pfd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `pfd` is one valid `struct pollfd` that outlives the call,
+    // and `nfds` is 1. An error or an interrupted wait just sends the
+    // caller round its loop again.
+    unsafe {
+        poll(&mut pfd, 1, ACCEPT_WAIT.as_millis() as i32);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn wait_for_connection(_listener: &TcpListener) {
+    std::thread::sleep(ACCEPT_WAIT);
+}
 
 /// How the daemon is sized.
 #[derive(Debug, Clone)]
@@ -176,7 +217,7 @@ impl Server {
                         });
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
+                        wait_for_connection(&self.listener);
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(e) => {

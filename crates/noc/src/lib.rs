@@ -5,7 +5,8 @@
 //! injection/ejection links of each DRAM controller — and provides
 //! routing (XY on the mesh, dimension-order on the folded torus) plus
 //! multicast trees (union of unicast paths, each link counted once, which
-//! is how the evaluator honours the template's multicast capability).
+//! is how the evaluator honours the template's multicast capability),
+//! built in closed form from per-row and per-column spans.
 //!
 //! A [`TrafficMap`] accumulates bytes per link for one pipeline stage;
 //! the evaluator turns it into link times (`bytes / bandwidth`), energy
@@ -35,6 +36,6 @@ pub mod traffic;
 
 pub use flowsim::{analytic_bottleneck, simulate_flows, Flow, FlowSimResult, FlowSimWorkspace};
 pub use heatmap::{Heatmap, HeatmapEntry};
-pub use network::{Link, LinkId, LinkKind, Network, NodeId};
+pub use network::{Link, LinkId, LinkKind, Network, NodeId, TreeScratch};
 pub use packetsim::{simulate_packets, PacketSimConfig, PacketSimResult, PacketSimWorkspace};
 pub use traffic::TrafficMap;

@@ -1,7 +1,5 @@
 //! Link enumeration and routing.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use gemini_arch::{ArchConfig, Coord, CoreId, Topology};
@@ -70,15 +68,18 @@ pub struct Link {
 pub struct Network {
     arch: ArchConfig,
     links: Vec<Link>,
-    /// Right-going and left-going horizontal mesh links, indexed by
-    /// (x, y) of the *source*: `h_links[dir][y * x_cores + x]`.
+    /// Folded torus (wrap links, shorter-way routing) rather than mesh.
+    torus: bool,
+    /// The link leaving each core rightwards, leftwards, downwards and
+    /// upwards, indexed by the source core: `h_right[y * x_cores + x]`.
+    /// A mesh has `NO_LINK` where it ends; a folded torus puts its wrap
+    /// links there instead (`h_right` of a row's last core is the wrap
+    /// to column 0, `h_left` of its first core the wrap back, and
+    /// likewise `v_down`/`v_up` per column).
     h_right: Vec<u32>,
     h_left: Vec<u32>,
     v_down: Vec<u32>,
     v_up: Vec<u32>,
-    /// Wrap links for the torus: per row (right-to-0 and back), per col.
-    wrap_h: HashMap<(u32, bool), u32>,
-    wrap_v: HashMap<(u32, bool), u32>,
     /// Injection/ejection link ids per DRAM per port.
     dram_inj: Vec<Vec<u32>>,
     dram_ej: Vec<Vec<u32>>,
@@ -88,19 +89,44 @@ pub struct Network {
 
 const NO_LINK: u32 = u32::MAX;
 
+/// How far the X-first routes of one multicast tree reach along one
+/// row or column: the most hops taken forward (increasing coordinate)
+/// and backward from where they enter it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reach {
+    fwd: u32,
+    bwd: u32,
+}
+
+impl Reach {
+    fn extend(&mut self, (fwd, hops): (bool, u32)) {
+        let r = if fwd { &mut self.fwd } else { &mut self.bwd };
+        *r = (*r).max(hops);
+    }
+}
+
+/// Caller-owned buffers for building multicast trees: the links of
+/// the last tree built and the per-column reach of its Y legs. Keep
+/// one per thread and pass it to every build, so that building a tree
+/// allocates nothing once the buffers have grown.
+#[derive(Debug, Default)]
+pub struct TreeScratch {
+    links: Vec<LinkId>,
+    cols: Vec<Reach>,
+}
+
 impl Network {
     /// Builds the interconnect for an architecture.
     pub fn new(arch: &ArchConfig) -> Self {
         let x = arch.x_cores();
         let y = arch.y_cores();
         let n = (x * y) as usize;
+        let torus = arch.topology() == Topology::FoldedTorus;
         let mut links = Vec::new();
         let mut h_right = vec![NO_LINK; n];
         let mut h_left = vec![NO_LINK; n];
         let mut v_down = vec![NO_LINK; n];
         let mut v_up = vec![NO_LINK; n];
-        let mut wrap_h = HashMap::new();
-        let mut wrap_v = HashMap::new();
 
         let core = |cx: u32, cy: u32| NodeId::Core(Coord::new(cx as u16, cy as u16));
         let push = |links: &mut Vec<Link>, from, to, kind, bw| -> u32 {
@@ -145,30 +171,29 @@ impl Network {
             }
         }
 
-        if arch.topology() == Topology::FoldedTorus && x > 1 {
+        if torus && x > 1 {
             for cy in 0..y {
                 let k = if arch.xcut() > 1 {
                     LinkKind::D2d
                 } else {
                     LinkKind::Noc
                 };
-                let f = push(&mut links, core(x - 1, cy), core(0, cy), k, bw_of(k));
-                let b = push(&mut links, core(0, cy), core(x - 1, cy), k, bw_of(k));
-                wrap_h.insert((cy, true), f);
-                wrap_h.insert((cy, false), b);
+                h_right[(cy * x + x - 1) as usize] =
+                    push(&mut links, core(x - 1, cy), core(0, cy), k, bw_of(k));
+                h_left[(cy * x) as usize] =
+                    push(&mut links, core(0, cy), core(x - 1, cy), k, bw_of(k));
             }
         }
-        if arch.topology() == Topology::FoldedTorus && y > 1 {
+        if torus && y > 1 {
             for cx in 0..x {
                 let k = if arch.ycut() > 1 {
                     LinkKind::D2d
                 } else {
                     LinkKind::Noc
                 };
-                let f = push(&mut links, core(cx, y - 1), core(cx, 0), k, bw_of(k));
-                let b = push(&mut links, core(cx, 0), core(cx, y - 1), k, bw_of(k));
-                wrap_v.insert((cx, true), f);
-                wrap_v.insert((cx, false), b);
+                v_down[((y - 1) * x + cx) as usize] =
+                    push(&mut links, core(cx, y - 1), core(cx, 0), k, bw_of(k));
+                v_up[cx as usize] = push(&mut links, core(cx, 0), core(cx, y - 1), k, bw_of(k));
             }
         }
 
@@ -204,12 +229,11 @@ impl Network {
         Self {
             arch: arch.clone(),
             links,
+            torus,
             h_right,
             h_left,
             v_down,
             v_up,
-            wrap_h,
-            wrap_v,
             dram_inj,
             dram_ej,
             dram_ports,
@@ -236,10 +260,6 @@ impl Network {
         &self.links
     }
 
-    fn idx_of(&self, cx: u32, cy: u32) -> usize {
-        (cy * self.arch.x_cores() + cx) as usize
-    }
-
     /// Appends the XY (mesh) or dimension-order (torus) route from one
     /// core to another onto `out`. Routing is X-first, matching the
     /// paper's Fig.-9 discussion of XY routing.
@@ -250,58 +270,94 @@ impl Network {
     }
 
     fn route_coords(&self, a: Coord, b: Coord, out: &mut Vec<LinkId>) {
-        let torus = self.arch.topology() == Topology::FoldedTorus;
-        let x_len = self.arch.x_cores();
-        let y_len = self.arch.y_cores();
-        // X leg.
-        let (mut cx, cy) = (a.x as u32, a.y as u32);
-        let tx = b.x as u32;
-        while cx != tx {
-            let fwd_dist = (tx + x_len - cx) % x_len;
-            let bwd_dist = (cx + x_len - tx) % x_len;
-            let go_fwd = if torus { fwd_dist <= bwd_dist } else { cx < tx };
-            if go_fwd {
-                if cx + 1 == x_len {
-                    out.push(LinkId(self.wrap_h[&(cy, true)]));
-                    cx = 0;
-                } else {
-                    out.push(LinkId(self.h_right[self.idx_of(cx, cy)]));
-                    cx += 1;
-                }
-            } else if cx == 0 {
-                out.push(LinkId(self.wrap_h[&(cy, false)]));
-                cx = x_len - 1;
+        let (ax, ay) = (u32::from(a.x), u32::from(a.y));
+        let (bx, by) = (u32::from(b.x), u32::from(b.y));
+        self.push_row(ay, ax, self.leg(ax, bx, self.arch.x_cores()), out);
+        self.push_col(bx, ay, self.leg(ay, by, self.arch.y_cores()), out);
+    }
+
+    /// One leg of a route along a line of `len` routers: its direction
+    /// (`true` = increasing coordinate) and hop count. A mesh goes
+    /// straight; a folded torus goes the shorter way round and forward
+    /// on a tie (`fwd <= bwd`).
+    fn leg(&self, from: u32, to: u32, len: u32) -> (bool, u32) {
+        if self.torus {
+            let fwd = (to + len - from) % len;
+            let bwd = (from + len - to) % len;
+            if fwd <= bwd {
+                (true, fwd)
             } else {
-                out.push(LinkId(self.h_left[self.idx_of(cx, cy)]));
-                cx -= 1;
+                (false, bwd)
             }
+        } else if from <= to {
+            (true, to - from)
+        } else {
+            (false, from - to)
         }
-        // Y leg.
-        let mut cyy = cy;
-        let ty = b.y as u32;
-        while cyy != ty {
-            let fwd_dist = (ty + y_len - cyy) % y_len;
-            let bwd_dist = (cyy + y_len - ty) % y_len;
-            let go_fwd = if torus {
-                fwd_dist <= bwd_dist
+    }
+
+    /// Appends the `hops` links of row `y` leaving column `x` in one
+    /// direction, wrapping round a torus.
+    fn push_row(&self, y: u32, mut x: u32, (fwd, hops): (bool, u32), out: &mut Vec<LinkId>) {
+        let len = self.arch.x_cores();
+        for _ in 0..hops {
+            let i = (y * len + x) as usize;
+            let l = if fwd {
+                x = if x + 1 == len { 0 } else { x + 1 };
+                self.h_right[i]
             } else {
-                cyy < ty
+                x = if x == 0 { len - 1 } else { x - 1 };
+                self.h_left[i]
             };
-            if go_fwd {
-                if cyy + 1 == y_len {
-                    out.push(LinkId(self.wrap_v[&(cx, true)]));
-                    cyy = 0;
-                } else {
-                    out.push(LinkId(self.v_down[self.idx_of(cx, cyy)]));
-                    cyy += 1;
-                }
-            } else if cyy == 0 {
-                out.push(LinkId(self.wrap_v[&(cx, false)]));
-                cyy = y_len - 1;
+            debug_assert_ne!(l, NO_LINK, "route left the mesh");
+            out.push(LinkId(l));
+        }
+    }
+
+    /// Appends the `hops` links of column `x` leaving row `y` in one
+    /// direction, wrapping round a torus.
+    fn push_col(&self, x: u32, mut y: u32, (fwd, hops): (bool, u32), out: &mut Vec<LinkId>) {
+        let (w, len) = (self.arch.x_cores(), self.arch.y_cores());
+        for _ in 0..hops {
+            let i = (y * w + x) as usize;
+            let l = if fwd {
+                y = if y + 1 == len { 0 } else { y + 1 };
+                self.v_down[i]
             } else {
-                out.push(LinkId(self.v_up[self.idx_of(cx, cyy)]));
-                cyy -= 1;
-            }
+                y = if y == 0 { len - 1 } else { y - 1 };
+                self.v_up[i]
+            };
+            debug_assert_ne!(l, NO_LINK, "route left the mesh");
+            out.push(LinkId(l));
+        }
+    }
+
+    /// Appends the union of the X-first routes from `src` to every core
+    /// of `tos`, in closed form. The X legs all run along the source
+    /// row, so together they cover the longest of them in each
+    /// direction. The Y legs to one column all start where that column
+    /// meets the source row, so together they cover that column's
+    /// longest leg in each direction. Forward and backward legs use
+    /// different links, so each link appears once.
+    fn push_tree(&self, src: Coord, tos: &[CoreId], tree: &mut TreeScratch) {
+        let (sx, sy) = (u32::from(src.x), u32::from(src.y));
+        let (w, h) = (self.arch.x_cores(), self.arch.y_cores());
+        // A tree has fewer links than the grid has cores, so the first
+        // build reserves all the room any later build needs.
+        tree.links.reserve((w * h) as usize);
+        let mut row = Reach::default();
+        tree.cols.clear();
+        tree.cols.resize(w as usize, Reach::default());
+        for &t in tos {
+            let c = self.arch.coord(t);
+            row.extend(self.leg(sx, u32::from(c.x), w));
+            tree.cols[usize::from(c.x)].extend(self.leg(sy, u32::from(c.y), h));
+        }
+        self.push_row(sy, sx, (true, row.fwd), &mut tree.links);
+        self.push_row(sy, sx, (false, row.bwd), &mut tree.links);
+        for (x, col) in (0..w).zip(&tree.cols) {
+            self.push_col(x, sy, (true, col.fwd), &mut tree.links);
+            self.push_col(x, sy, (false, col.bwd), &mut tree.links);
         }
     }
 
@@ -348,56 +404,39 @@ impl Network {
         }
     }
 
-    /// Multicast tree from one core to many: the union of the unicast XY
-    /// paths with each link counted once. Returns the deduplicated link
-    /// set in `out`.
-    pub fn multicast_cores(&self, from: CoreId, tos: &[CoreId], out: &mut Vec<LinkId>) {
-        out.clear();
-        let mut seen = std::collections::HashSet::new();
-        let mut path = Vec::new();
-        for &t in tos {
-            if t == from {
-                continue;
-            }
-            path.clear();
-            self.route_cores(from, t, &mut path);
-            for &l in &path {
-                if seen.insert(l) {
-                    out.push(l);
-                }
-            }
-        }
+    /// Multicast tree from one core to many: the union of the unicast
+    /// X-first routes, each link once (`from` itself and repeats in
+    /// `tos` add nothing). Returns the tree's links, built in `tree`;
+    /// their order is unspecified.
+    pub fn multicast_cores<'t>(
+        &self,
+        from: CoreId,
+        tos: &[CoreId],
+        tree: &'t mut TreeScratch,
+    ) -> &'t [LinkId] {
+        tree.links.clear();
+        self.push_tree(self.arch.coord(from), tos, tree);
+        &tree.links
     }
 
-    /// Multicast tree from one DRAM port set to many cores (per-port
-    /// trees; callback gets each port's deduplicated tree so the caller
-    /// can divide volume by port count).
+    /// Multicast trees from DRAM `d` to many cores, one per port: the
+    /// port's injection link plus the union of the X-first routes from
+    /// its edge core, each link once. The callback gets each port's
+    /// tree so the caller can divide volume by port count; the order of
+    /// the links within a tree is unspecified.
     pub fn multicast_from_dram(
         &self,
         d: u32,
         tos: &[CoreId],
-        out: &mut Vec<LinkId>,
+        tree: &mut TreeScratch,
         mut f: impl FnMut(&[LinkId]),
     ) {
-        let ports: Vec<Coord> = self.dram_ports[d as usize].clone();
-        let mut seen = std::collections::HashSet::new();
-        let mut path = Vec::new();
-        for (i, &p) in ports.iter().enumerate() {
-            out.clear();
-            seen.clear();
-            let inj = LinkId(self.dram_inj[d as usize][i]);
-            seen.insert(inj);
-            out.push(inj);
-            for &t in tos {
-                path.clear();
-                self.route_coords(p, self.arch.coord(t), &mut path);
-                for &l in &path {
-                    if seen.insert(l) {
-                        out.push(l);
-                    }
-                }
-            }
-            f(out);
+        let d = d as usize;
+        for (&inj, &p) in self.dram_inj[d].iter().zip(&self.dram_ports[d]) {
+            tree.links.clear();
+            tree.links.push(LinkId(inj));
+            self.push_tree(p, tos, tree);
+            f(&tree.links);
         }
     }
 }
@@ -517,22 +556,23 @@ mod tests {
     #[test]
     fn multicast_dedups_shared_prefix() {
         let (a, n) = mesh();
-        let mut tree = Vec::new();
+        let mut tree = TreeScratch::default();
         // Two destinations in the same row share the horizontal prefix.
-        n.multicast_cores(
+        let links = n.multicast_cores(
             a.core_at(0, 0),
             &[a.core_at(3, 0), a.core_at(3, 1)],
             &mut tree,
         );
         // Unicast would be 3 + 4 = 7 links; the tree shares 3.
-        assert_eq!(tree.len(), 4);
+        assert_eq!(links.len(), 4);
     }
 
     #[test]
     fn multicast_excludes_self() {
         let (a, n) = mesh();
-        let mut tree = Vec::new();
-        n.multicast_cores(a.core_at(2, 2), &[a.core_at(2, 2)], &mut tree);
-        assert!(tree.is_empty());
+        let mut tree = TreeScratch::default();
+        assert!(n
+            .multicast_cores(a.core_at(2, 2), &[a.core_at(2, 2)], &mut tree)
+            .is_empty());
     }
 }

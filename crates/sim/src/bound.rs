@@ -136,8 +136,7 @@ pub fn group_bound(ev: &Evaluator, dnn: &Dnn, gm: &GroupMapping, batch: u32) -> 
     let opts = ev.options();
     let bu = gm.batch_unit.max(1);
     let rounds = batch.div_ceil(bu).max(1);
-    let member_ids = gm.layer_ids();
-    let depth = dnn.depth_within(&member_ids);
+    let depth = gm.depth(dnn);
 
     // Aggregate capacities over *all* cores (idle cores only loosen the
     // bound) and the cheapest per-byte GLB energy of any core.

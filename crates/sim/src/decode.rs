@@ -165,13 +165,16 @@ pub fn sweep_positions(
                 .collect()
         })
         .collect();
-    let fold = |dnn: &Dnn, gms: &[GroupMapping], records: &[Vec<MemberRecord>]| -> DnnReport {
+    // Transplanting keeps each group's member layers and the graph's
+    // topology, so one depth per group serves every position.
+    let depths: Vec<u32> = ref_gms.iter().map(|gm| gm.depth(ref_dnn)).collect();
+    let fold = |gms: &[GroupMapping], records: &[Vec<MemberRecord>]| -> DnnReport {
         let mut delay = 0.0;
         let mut energy = crate::energy::EnergyBreakdown::default();
         let mut reports = Vec::with_capacity(gms.len());
-        for (gm, recs) in gms.iter().zip(records) {
+        for ((gm, recs), &depth) in gms.iter().zip(records).zip(&depths) {
             let refs: Vec<&MemberRecord> = recs.iter().collect();
-            let r = ev.fold_group(dnn, gm, batch, &refs);
+            let r = ev.fold_group(gm, batch, depth, &refs);
             delay += r.delay_s;
             energy.add(&r.energy);
             reports.push(r);
@@ -190,7 +193,7 @@ pub fn sweep_positions(
             if pi == ref_idx {
                 return PositionEval {
                     seq_pos,
-                    report: fold(ref_dnn, ref_gms, &ref_records),
+                    report: fold(ref_gms, &ref_records),
                 };
             }
             let gms = transplant_mappings(ref_dnn, dnn, ref_gms);
@@ -232,7 +235,7 @@ pub fn sweep_positions(
                 .collect();
             PositionEval {
                 seq_pos,
-                report: fold(dnn, &gms, &records),
+                report: fold(&gms, &records),
             }
         })
         .collect();

@@ -64,6 +64,7 @@ impl DeltaStats {
 #[derive(Debug)]
 pub struct DeltaProposal {
     gm: GroupMapping,
+    depth: u32,
     report: GroupReport,
     records: ProposalRecords,
 }
@@ -97,6 +98,9 @@ impl DeltaProposal {
 pub struct GroupEvalState {
     gm: GroupMapping,
     batch: u32,
+    /// The committed mapping's pipeline depth ([`GroupMapping::depth`]),
+    /// so that folds need not recompute it.
+    depth: u32,
     records: Vec<MemberRecord>,
     report: GroupReport,
     stats: DeltaStats,
@@ -122,12 +126,14 @@ impl GroupEvalState {
         let records: Vec<MemberRecord> = (0..gm.members.len())
             .map(|mi| ev.member_record(dnn, &gm, mi))
             .collect();
+        let depth = gm.depth(dnn);
         let refs: Vec<&MemberRecord> = records.iter().collect();
-        let report = ev.fold_group(dnn, &gm, batch, &refs);
+        let report = ev.fold_group(&gm, batch, depth, &refs);
         drop(refs);
         Self {
             gm,
             batch,
+            depth,
             records,
             report,
             stats: DeltaStats::default(),
@@ -144,6 +150,7 @@ impl GroupEvalState {
         Self {
             gm: self.gm.clone(),
             batch: self.batch,
+            depth: self.depth,
             records: self.records.clone(),
             report: self.report.clone(),
             stats: DeltaStats::default(),
@@ -213,6 +220,7 @@ impl GroupEvalState {
         dirty: Option<&[usize]>,
     ) -> DeltaProposal {
         let n = self.gm.members.len();
+        let depth = self.depth_of(dnn, gm);
 
         // Dirty closure: the declared members plus their in-group
         // consumers (whose peer-flow records read the producer parts).
@@ -244,12 +252,13 @@ impl GroupEvalState {
                 .map(|mi| ev.member_record(dnn, gm, mi))
                 .collect();
             let refs: Vec<&MemberRecord> = records.iter().collect();
-            let report = ev.fold_group(dnn, gm, self.batch, &refs);
+            let report = ev.fold_group(gm, self.batch, depth, &refs);
             drop(refs);
             self.stats.full_evals += 1;
             self.stats.member_sims += records.len() as u64;
             return DeltaProposal {
                 gm: gm.clone(),
+                depth,
                 report,
                 records: ProposalRecords::Full(records),
             };
@@ -276,7 +285,7 @@ impl GroupEvalState {
             }
             view
         };
-        let report = ev.fold_group(dnn, gm, self.batch, &view);
+        let report = ev.fold_group(gm, self.batch, depth, &view);
 
         self.stats.delta_hits += 1;
         self.stats.member_sims += fresh.len() as u64;
@@ -296,8 +305,26 @@ impl GroupEvalState {
 
         DeltaProposal {
             gm: gm.clone(),
+            depth,
             report,
             records: ProposalRecords::Dirty(fresh),
+        }
+    }
+
+    /// The pipeline depth of `gm`: the committed one while the member
+    /// layers are unchanged (SA moves never change them), else
+    /// recomputed (the joint annealer's partition moves do).
+    fn depth_of(&self, dnn: &Dnn, gm: &GroupMapping) -> u32 {
+        let same_layers = gm.members.len() == self.gm.members.len()
+            && gm
+                .members
+                .iter()
+                .zip(&self.gm.members)
+                .all(|(a, b)| a.layer == b.layer);
+        if same_layers {
+            self.depth
+        } else {
+            gm.depth(dnn)
         }
     }
 
@@ -315,6 +342,7 @@ impl GroupEvalState {
             }
         }
         self.gm = p.gm;
+        self.depth = p.depth;
         self.report = p.report.clone();
         p.report
     }

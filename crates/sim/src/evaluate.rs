@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use gemini_arch::{ArchConfig, CoreId};
 use gemini_intracore::IntraCoreExplorer;
 use gemini_model::{Dnn, Region};
-use gemini_noc::{LinkId, Network, TrafficMap};
+use gemini_noc::{LinkId, Network, TrafficMap, TreeScratch};
 
 use crate::energy::{D2dEnergyModel, EnergyBreakdown, EnergyModel};
 use crate::mapping::{DramSel, GroupMapping, PredSrc};
@@ -372,7 +372,7 @@ impl Evaluator {
             .map(|mi| self.member_record(dnn, gm, mi))
             .collect();
         let refs: Vec<&MemberRecord> = records.iter().collect();
-        self.fold_group(dnn, gm, batch, &refs)
+        self.fold_group(gm, batch, gm.depth(dnn), &refs)
     }
 
     /// Builds the decomposed stage record of member `mi` (see
@@ -392,7 +392,7 @@ impl Evaluator {
             load_dram: vec![0.0f64; d],
         };
         let mut scratch = Vec::with_capacity(64);
-        let mut tree = Vec::with_capacity(64);
+        let mut tree = TreeScratch::default();
 
         // --- Per-core compute (intra-core engine) -------------------
         for (core, region) in &m.parts {
@@ -435,7 +435,6 @@ impl Evaluator {
                         *sel,
                         &mut rec.traffic,
                         &mut rec.dram_bytes,
-                        &mut scratch,
                         &mut tree,
                     );
                 }
@@ -466,7 +465,6 @@ impl Evaluator {
                 sel,
                 &mut rec.load_traffic,
                 &mut rec.load_dram,
-                &mut scratch,
                 &mut tree,
             );
         }
@@ -482,18 +480,20 @@ impl Evaluator {
     /// energy roll-up — are applied on the folded aggregates. Cold and
     /// delta evaluations share this code, which is what makes them
     /// bit-identical.
+    ///
+    /// `depth` is the group's pipeline depth, [`GroupMapping::depth`];
+    /// it depends only on the member layers, so callers that fold one
+    /// group many times compute it once.
     pub(crate) fn fold_group(
         &self,
-        dnn: &Dnn,
         gm: &GroupMapping,
         batch: u32,
+        depth: u32,
         records: &[&MemberRecord],
     ) -> GroupReport {
         debug_assert_eq!(records.len(), gm.members.len(), "one record per member");
         let d = self.arch.dram_count() as usize;
         let rounds = batch.div_ceil(gm.batch_unit.max(1)).max(1);
-        let member_ids = gm.layer_ids();
-        let depth = dnn.depth_within(&member_ids);
 
         let n_cores = self.arch.n_cores() as usize;
         let mut core_cycles = vec![0u64; n_cores];
@@ -539,8 +539,8 @@ impl Evaluator {
         // Weights are loaded once per group execution (one-time map);
         // any working-set overflow beyond the GLB spills to DRAM every
         // round (written back and re-fetched), on top of that.
-        let mut scratch = Vec::with_capacity(64);
-        let mut tree = Vec::with_capacity(64);
+        let mut scratch = Vec::new();
+        let mut tree = TreeScratch::default();
         if self.opts.spill_enabled {
             for (i, &ws) in core_working_set.iter().enumerate() {
                 let core = CoreId(i as u16);
@@ -560,7 +560,6 @@ impl Evaluator {
                         DramSel::Interleaved,
                         &mut traffic,
                         &mut dram_bytes,
-                        &mut scratch,
                         &mut tree,
                     );
                 }
@@ -667,7 +666,7 @@ impl Evaluator {
         pred_pos: usize,
         producer: &crate::mapping::LayerAssignment,
         traffic: &mut TrafficMap,
-        tree: &mut Vec<LinkId>,
+        tree: &mut TreeScratch,
     ) {
         let consumer = &gm.members[consumer_idx];
         let mut by_need: BTreeMap<Region, Vec<CoreId>> = BTreeMap::new();
@@ -687,18 +686,15 @@ impl Evaluator {
                 if vol == 0.0 {
                     continue;
                 }
-                let dests: Vec<CoreId> = cores.iter().copied().filter(|c| c != pc).collect();
-                if dests.is_empty() {
-                    continue;
-                }
+                // The producer's own core needs no link; its tree (or
+                // route) to itself is empty.
                 if self.opts.multicast_enabled {
-                    self.net.multicast_cores(*pc, &dests, tree);
-                    traffic.add_path(tree, vol);
+                    traffic.add_path(self.net.multicast_cores(*pc, &cores, tree), vol);
                 } else {
                     // Unicast ablation: one full copy per destination.
-                    for d in &dests {
-                        self.net.route_cores(*pc, *d, tree);
-                        traffic.add_path(tree, vol);
+                    for d in &cores {
+                        let route = self.net.multicast_cores(*pc, std::slice::from_ref(d), tree);
+                        traffic.add_path(route, vol);
                     }
                 }
             }
@@ -718,8 +714,7 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        scratch: &mut [LinkId],
-        tree: &mut Vec<LinkId>,
+        tree: &mut TreeScratch,
     ) {
         let mut by_need: BTreeMap<Region, Vec<CoreId>> = BTreeMap::new();
         for (core, region) in &m.parts {
@@ -734,13 +729,12 @@ impl Evaluator {
         }
         for (need, cores) in by_need {
             let vol = need.bytes() as f64;
-            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, scratch, tree);
+            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, tree);
         }
     }
 
     /// Weight flows for one member: distinct output-channel slices are
     /// multicast to the cores that need them.
-    #[allow(clippy::too_many_arguments)] // threads shared scratch buffers through the hot path
     fn add_weight_flows(
         &self,
         dnn: &Dnn,
@@ -748,8 +742,7 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        scratch: &mut [LinkId],
-        tree: &mut Vec<LinkId>,
+        tree: &mut TreeScratch,
     ) {
         let layer = dnn.layer(m.layer);
         let wtotal = layer.weight_bytes() as f64;
@@ -768,14 +761,13 @@ impl Evaluator {
         }
         for ((k0, k1), cores) in by_slice {
             let vol = wtotal * (k1 - k0) as f64 / layer.ofmap.c as f64;
-            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, scratch, tree);
+            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, tree);
         }
     }
 
     /// Multicasts `vol` bytes from DRAM(s) chosen by `sel` to `cores`,
     /// splitting across controllers (interleave) and each controller's
     /// ports.
-    #[allow(clippy::too_many_arguments)]
     fn dram_multicast(
         &self,
         cores: &[CoreId],
@@ -783,28 +775,23 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        _scratch: &mut [LinkId],
-        tree: &mut Vec<LinkId>,
+        tree: &mut TreeScratch,
     ) {
-        let d = self.arch.dram_count();
-        let drams: Vec<(u32, f64)> = match sel {
-            DramSel::Specific(i) => vec![(i.min(d - 1), vol)],
-            DramSel::Interleaved => (0..d).map(|i| (i, vol / d as f64)).collect(),
-        };
-        for (dram, v) in drams {
+        let (drams, v) = sel.targets(self.arch.dram_count(), vol);
+        for dram in drams {
             dram_bytes[dram as usize] += v;
-            let ports = self.net.dram_port_coords(dram).len() as f64;
+            let per_port = v / self.net.dram_port_coords(dram).len() as f64;
             if self.opts.multicast_enabled {
                 self.net
                     .multicast_from_dram(dram, cores, tree, |port_tree| {
-                        traffic.add_path(port_tree, v / ports);
+                        traffic.add_path(port_tree, per_port);
                     });
             } else {
                 // Unicast ablation: each destination gets its own copy.
                 for c in cores {
                     self.net
                         .multicast_from_dram(dram, std::slice::from_ref(c), tree, |p| {
-                            traffic.add_path(p, v / ports);
+                            traffic.add_path(p, per_port);
                         });
                 }
             }
@@ -822,17 +809,13 @@ impl Evaluator {
         dram_bytes: &mut [f64],
         scratch: &mut Vec<LinkId>,
     ) {
-        let d = self.arch.dram_count();
-        let drams: Vec<(u32, f64)> = match sel {
-            DramSel::Specific(i) => vec![(i.min(d - 1), vol)],
-            DramSel::Interleaved => (0..d).map(|i| (i, vol / d as f64)).collect(),
-        };
-        for (dram, v) in drams {
+        let (drams, v) = sel.targets(self.arch.dram_count(), vol);
+        for dram in drams {
             dram_bytes[dram as usize] += v;
-            let ports = self.net.dram_port_coords(dram).len() as f64;
+            let per_port = v / self.net.dram_port_coords(dram).len() as f64;
             self.net
                 .for_each_dram_write_path(core, dram, scratch, |path| {
-                    traffic.add_path(path, v / ports);
+                    traffic.add_path(path, per_port);
                 });
         }
     }
@@ -1084,20 +1067,17 @@ mod tests {
         );
     }
 
-    #[test]
-    fn broadcast_need_uses_multicast() {
-        // K-partitioned consumers all need the producer's full output;
-        // grouping by identical need region must pay shared links once.
-        let dnn = zoo::two_conv_example();
-        let arch = presets::g_arch_72();
-        let ev = Evaluator::new(&arch);
+    /// conv1 on core (0,0) feeding conv2 K-halved on (2,0) and (3,0):
+    /// both consumers need conv1's full output, so one need region has
+    /// two destinations that share the link (0,0)->(1,0).
+    fn broadcast_mapping(dnn: &Dnn, arch: &ArchConfig) -> GroupMapping {
         let conv1 = LayerId(1);
         let conv2 = LayerId(2);
         let s1 = dnn.layer(conv1).ofmap;
         let s2 = dnn.layer(conv2).ofmap;
         // Producer at (0,0); two consumers in a row at (2,0), (3,0) with
         // K halved: both need the full conv1 output (3x3 conv, all C).
-        let gm = GroupMapping {
+        GroupMapping {
             members: vec![
                 LayerAssignment {
                     layer: conv1,
@@ -1134,7 +1114,18 @@ mod tests {
                 },
             ],
             batch_unit: 1,
-        };
+        }
+    }
+
+    #[test]
+    fn broadcast_need_uses_multicast() {
+        // K-partitioned consumers all need the producer's full output;
+        // grouping by identical need region must pay shared links once.
+        let dnn = zoo::two_conv_example();
+        let arch = presets::g_arch_72();
+        let ev = Evaluator::new(&arch);
+        let s1 = dnn.layer(LayerId(1)).ofmap;
+        let gm = broadcast_mapping(&dnn, &arch);
         let r = ev.evaluate_group(&dnn, &gm, 1);
         // The link (0,0)->(1,0) carries the broadcast once: its bytes
         // must equal one copy of conv1's output, not two.
@@ -1265,7 +1256,41 @@ mod tests {
     #[test]
     fn unicast_ablation_pays_per_destination() {
         // The broadcast scenario of `broadcast_need_uses_multicast`:
-        // disabling multicast must roughly double the shared-link bytes.
+        // disabling multicast must double the shared-link bytes.
+        let dnn = zoo::two_conv_example();
+        let arch = presets::g_arch_72();
+        let multi = Evaluator::new(&arch);
+        let uni = Evaluator::with_options(
+            &arch,
+            EnergyModel::default(),
+            opts_with(|o| o.multicast_enabled = false),
+        );
+        let gm = broadcast_mapping(&dnn, &arch);
+        let rm = multi.evaluate_group(&dnn, &gm, 1);
+        let ru = uni.evaluate_group(&dnn, &gm, 1);
+        assert!(
+            ru.traffic.total_hop_bytes() > rm.traffic.total_hop_bytes(),
+            "unicast {} must exceed multicast {}",
+            ru.traffic.total_hop_bytes(),
+            rm.traffic.total_hop_bytes()
+        );
+        let mut p = Vec::new();
+        uni.network()
+            .route_cores(arch.core_at(0, 0), arch.core_at(1, 0), &mut p);
+        let one_copy = dnn.layer(LayerId(1)).ofmap.elems() as f64;
+        let bytes = ru.traffic.bytes_on(p[0]);
+        assert!(
+            (bytes - 2.0 * one_copy).abs() < 1.0,
+            "expected two unicast copies ({}), got {bytes}",
+            2.0 * one_copy
+        );
+    }
+
+    #[test]
+    fn unicast_ablation_sends_each_destination_its_own_route() {
+        // H-split consumers need distinct regions, one destination each:
+        // with nothing to share, unicast moves exactly the multicast
+        // bytes on every link.
         let dnn = zoo::two_conv_example();
         let arch = presets::g_arch_72();
         let multi = Evaluator::new(&arch);
@@ -1281,12 +1306,7 @@ mod tests {
         );
         let rm = multi.evaluate_group(&dnn, &gm, 1);
         let ru = uni.evaluate_group(&dnn, &gm, 1);
-        assert!(
-            ru.traffic.total_hop_bytes() > rm.traffic.total_hop_bytes(),
-            "unicast {} must exceed multicast {}",
-            ru.traffic.total_hop_bytes(),
-            rm.traffic.total_hop_bytes()
-        );
+        assert_eq!(ru.traffic, rm.traffic);
     }
 
     fn big_little_spec(arch: &gemini_arch::ArchConfig) -> gemini_arch::HeteroSpec {

@@ -18,7 +18,7 @@ use gemini_noc::packetsim::{PacketSimConfig, PacketSimWorkspace};
 use gemini_noc::TrafficMap;
 
 use crate::evaluate::Evaluator;
-use crate::mapping::{DramSel, GroupMapping};
+use crate::mapping::GroupMapping;
 use crate::program::{generate_program, Instr};
 
 /// The three-model comparison for one layer group's steady-state stage.
@@ -68,15 +68,7 @@ pub fn stage_flows(ev: &Evaluator, dnn: &Dnn, gm: &GroupMapping) -> Vec<Flow> {
     let d = ev.arch().dram_count();
     let prog = generate_program(dnn, gm);
     let mut flows = Vec::new();
-    let mut tree = Vec::new();
     let mut scratch = Vec::new();
-
-    let dram_targets = |sel: DramSel, bytes: f64| -> Vec<(u32, f64)> {
-        match sel {
-            DramSel::Specific(i) => vec![(i.min(d - 1), bytes)],
-            DramSel::Interleaved => (0..d).map(|i| (i, bytes / d as f64)).collect(),
-        }
-    };
 
     for (core, stream) in &prog.streams {
         for i in stream {
@@ -90,9 +82,10 @@ pub fn stage_flows(ev: &Evaluator, dnn: &Dnn, gm: &GroupMapping) -> Vec<Flow> {
                     });
                 }
                 Instr::ReadDram { from, bytes, .. } => {
-                    for (dram, v) in dram_targets(*from, *bytes as f64) {
+                    let (drams, v) = from.targets(d, *bytes as f64);
+                    for dram in drams {
                         let ports = net.dram_port_coords(dram).len() as f64;
-                        net.multicast_from_dram(dram, std::slice::from_ref(core), &mut tree, |p| {
+                        net.for_each_dram_read_path(dram, *core, &mut scratch, |p| {
                             flows.push(Flow {
                                 path: p.to_vec(),
                                 bytes: v / ports,
@@ -101,7 +94,8 @@ pub fn stage_flows(ev: &Evaluator, dnn: &Dnn, gm: &GroupMapping) -> Vec<Flow> {
                     }
                 }
                 Instr::WriteDram { to, bytes, .. } => {
-                    for (dram, v) in dram_targets(*to, *bytes as f64) {
+                    let (drams, v) = to.targets(d, *bytes as f64);
+                    for dram in drams {
                         let ports = net.dram_port_coords(dram).len() as f64;
                         net.for_each_dram_write_path(*core, dram, &mut scratch, |p| {
                             flows.push(Flow {
@@ -359,7 +353,7 @@ mod tests {
     use gemini_model::zoo;
     use gemini_model::{split_dim, LayerId, Range1, Region};
 
-    use crate::mapping::{LayerAssignment, PredSrc};
+    use crate::mapping::{DramSel, LayerAssignment, PredSrc};
 
     fn pipeline_mapping(arch: &gemini_arch::ArchConfig) -> (Dnn, GroupMapping) {
         let dnn = zoo::two_conv_example();

@@ -6,6 +6,8 @@
 //! have already been applied, leaving explicit `(core, region)` pairs;
 //! the flow-of-data attribute survives as [`DramSel`] selectors.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use gemini_arch::CoreId;
@@ -29,6 +31,19 @@ impl DramSel {
             0 => Some(DramSel::Interleaved),
             d if d > 0 => Some(DramSel::Specific(d as u32 - 1)),
             _ => None,
+        }
+    }
+
+    /// The DRAMs a flow of `bytes` uses among `count` stacks, and the
+    /// bytes each of them serves: an equal share of every stack when
+    /// interleaved, else all of the named one (clamped to the last).
+    pub fn targets(self, count: u32, bytes: f64) -> (Range<u32>, f64) {
+        match self {
+            DramSel::Specific(i) => {
+                let i = i.min(count - 1);
+                (i..i + 1, bytes)
+            }
+            DramSel::Interleaved => (0..count, bytes / count as f64),
         }
     }
 }
@@ -138,6 +153,12 @@ impl GroupMapping {
     /// Member layer ids, in order.
     pub fn layer_ids(&self) -> Vec<LayerId> {
         self.members.iter().map(|m| m.layer).collect()
+    }
+
+    /// The group's pipeline depth: the longest chain of member layers
+    /// ([`Dnn::depth_within`]).
+    pub fn depth(&self, dnn: &Dnn) -> u32 {
+        dnn.depth_within(&self.layer_ids())
     }
 
     /// Checks structural invariants: the batch unit is at least one

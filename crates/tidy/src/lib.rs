@@ -43,6 +43,8 @@ pub const DETERMINISM_SCOPES: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/core/src/partition.rs",
     "crates/model/src/layer.rs",
+    "crates/noc/src/network.rs",
+    "crates/sim/src/evaluate.rs",
     "crates/sim/src/delta.rs",
     "crates/sim/src/cache.rs",
     "crates/sim/src/bound.rs",

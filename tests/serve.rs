@@ -11,6 +11,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use gemini::core::campaign::value::{parse_json, Value};
 
@@ -299,6 +300,32 @@ fn graceful_shutdown_drains_in_flight_work() {
     let mut daemon = daemon;
     let status = daemon.child.wait().expect("daemon exits");
     assert!(status.success(), "drained exit is clean: {status:?}");
+}
+
+/// The accept loop takes each connection as soon as it arrives. The
+/// fastest of 3 batches of 20 sequential connect → `ping` → close round
+/// trips must finish in 150 ms; a loop that slept 10 ms whenever no
+/// connection was waiting would need at least 190 ms per batch.
+#[test]
+fn sequential_connections_are_accepted_without_waiting() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let fastest = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..20 {
+                let rs = daemon.request(&[r#"{"id":"p","verb":"ping"}"#]);
+                let pong = rs[0].get("payload").and_then(|p| p.get("pong"));
+                assert_eq!(pong.and_then(Value::as_bool), Some(true), "{rs:?}");
+            }
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < Duration::from_millis(150),
+        "the fastest batch of 20 round trips took {fastest:?}"
+    );
+    daemon.shutdown();
 }
 
 /// The `gemini request` verb is a full pipelined client: stdin lines
