@@ -2,6 +2,11 @@
 //! stripe schemes, SA exploration and final evaluation, wrapped into one
 //! call.
 //!
+//! Each mapping is evaluated cold once: the annealer evaluates the
+//! start, its final pass re-simulates only what SA changed, and
+//! [`MappingEngine::map`] reports the sum of those group reports.
+//! [`MappingEngine::evaluate`] is the cold reference they equal.
+//!
 //! The SA stage runs one annealing chain per layer group, concurrently
 //! (see [`crate::sa`]); [`SaOptions::threads`] — env-overridable via
 //! `GEMINI_SA_THREADS` — sets the worker count, and results are
@@ -114,7 +119,28 @@ impl<'a> MappingEngine<'a> {
 
     /// G-Map: DP graph partition, stripe initialization, SA exploration
     /// (parallel per-group chains with incremental evaluation).
+    ///
+    /// The report is the annealer's own ([`crate::sa::SaOutcome::reports`]):
+    /// each group is evaluated cold once, at the start, and the final
+    /// pass re-simulates only the members SA changed. It is bit-identical
+    /// to [`MappingEngine::evaluate`] of the returned schemes.
     pub fn map(&self, dnn: &Dnn, batch: u32, opts: &MappingOptions) -> MappedDnn {
+        self.map_with_start(dnn, batch, opts).0
+    }
+
+    /// [`MappingEngine::map`], plus the report of SA's starting point.
+    ///
+    /// With `opts.sa.bound_seed` off, the start is the stripe scheme of
+    /// every group of the same partition, so its report is bit-identical
+    /// to `map_stripe(dnn, batch, opts).report`: callers comparing the
+    /// T-Map with the G-Map get both from one partition and one cold
+    /// evaluation.
+    pub fn map_with_start(
+        &self,
+        dnn: &Dnn,
+        batch: u32,
+        opts: &MappingOptions,
+    ) -> (MappedDnn, DnnReport) {
         self.anneal(dnn, batch, opts, |g| stripe_lms(dnn, self.ev.arch(), g))
     }
 
@@ -138,17 +164,19 @@ impl<'a> MappingEngine<'a> {
         self.anneal(dnn, batch, opts, |g| {
             crate::hetero_map::hetero_stripe_lms(dnn, self.ev.arch(), g, spec)
         })
+        .0
     }
 
     /// The G-Map body: partition, one `stripe` scheme per group as the
-    /// SA starting point, then annealing and the final evaluation.
+    /// SA starting point, then annealing. Returns the mapping and the
+    /// start's report, both summed from the annealer's group reports.
     fn anneal(
         &self,
         dnn: &Dnn,
         batch: u32,
         opts: &MappingOptions,
         stripe: impl Fn(&GroupSpec) -> Lms,
-    ) -> MappedDnn {
+    ) -> (MappedDnn, DnnReport) {
         let partition = partition_graph(dnn, self.ev.arch(), batch, &opts.partition);
         let init: Vec<Lms> = partition
             .groups
@@ -163,13 +191,13 @@ impl<'a> MappingEngine<'a> {
             })
             .collect();
         let out = optimize(dnn, self.ev, &partition, init, batch, &opts.sa);
-        let report = self.evaluate(dnn, &partition, &out.lms, batch);
-        MappedDnn {
+        let mapped = MappedDnn {
             partition,
             lms: out.lms,
-            report,
+            report: DnnReport::from_groups(out.reports),
             sa_stats: Some(out.stats),
-        }
+        };
+        (mapped, DnnReport::from_groups(out.init_reports))
     }
 
     /// T-Map baseline: DP graph partition + the stripe heuristic, no SA
@@ -191,7 +219,13 @@ impl<'a> MappingEngine<'a> {
         }
     }
 
-    /// Evaluates a set of schemes end to end.
+    /// Evaluates a set of schemes end to end, cold: every group is
+    /// parsed under the schemes' OF map and simulated from scratch.
+    ///
+    /// This is the reference the other paths are held to: it produces
+    /// [`MappingEngine::map_stripe`]'s report, and tests (and external
+    /// tracers) re-evaluate a G-Map's schemes with it to check the
+    /// annealer's incremental report bit for bit.
     pub fn evaluate(
         &self,
         dnn: &Dnn,

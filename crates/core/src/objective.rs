@@ -19,6 +19,8 @@
 //! (`score(mc, e, d) -> f64`, lower is better), which keeps journals
 //! and artifacts byte-identical for exponent objectives.
 
+use std::ops::RangeInclusive;
+
 use serde::{Deserialize, Serialize};
 
 use crate::traffic;
@@ -181,11 +183,11 @@ impl ObjectiveSpec {
             let Some(ms) = budget.strip_suffix("ms") else {
                 return Err(malformed(s, "budget must end in 'ms'".into()));
             };
-            let budget_ms = ms.parse::<f64>().ok().filter(|b| *b > 0.0 && b.is_finite());
+            let budget_ms = ms.parse::<f64>().ok().filter(|b| BUDGET_MS.contains(b));
             let Some(budget_ms) = budget_ms else {
                 return Err(malformed(
                     s,
-                    format!("budget must be a positive number of ms, got '{ms}'"),
+                    format!("budget must be a number of ms in [0.001, 1e6], got '{ms}'"),
                 ));
             };
             return Ok(Self::SlaGoodput {
@@ -225,14 +227,24 @@ impl ObjectiveSpec {
     }
 }
 
+/// The offered loads a traffic objective accepts, in requests/s: from
+/// one request in ~17 minutes to a million per second. Outside it the
+/// replay says nothing useful, and the canonical spelling of a rate
+/// such as 1e300 would print hundreds of digits.
+const RATE_RPS: RangeInclusive<f64> = 1e-3..=1e6;
+
+/// The latency budgets a goodput objective accepts, in milliseconds:
+/// one microsecond to ~17 minutes.
+const BUDGET_MS: RangeInclusive<f64> = 1e-3..=1e6;
+
 fn parse_rate(spelling: &str, rate: &str) -> Result<f64, ObjectiveParseError> {
     rate.parse::<f64>()
         .ok()
-        .filter(|r| *r > 0.0 && r.is_finite())
+        .filter(|r| RATE_RPS.contains(r))
         .ok_or_else(|| {
             malformed(
                 spelling,
-                format!("rate must be a positive number of requests/s, got '{rate}'"),
+                format!("rate must be a number of requests/s in [0.001, 1e6], got '{rate}'"),
             )
         })
 }
@@ -327,6 +339,40 @@ mod tests {
             .expect_err("not an objective")
             .0
             .starts_with("unknown objective"));
+    }
+
+    #[test]
+    fn rates_and_budgets_are_refused_outside_their_ranges() {
+        // Both ends of each range parse; just outside them does not.
+        for ok in [
+            "p99@0.001",
+            "p99@1000000",
+            "goodput@0.001:25ms",
+            "goodput@1e6:25ms",
+            "goodput@500:0.001ms",
+            "goodput@500:1000000ms",
+        ] {
+            ObjectiveSpec::parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+        for (bad, what) in [
+            ("p99@0.00099", "rate"),
+            ("p99@1000001", "rate"),
+            ("p99@1e300", "rate"),
+            ("p50@inf", "rate"),
+            ("p50@NaN", "rate"),
+            ("goodput@1e-300:25ms", "rate"),
+            ("goodput@1e7:25ms", "rate"),
+            ("goodput@500:0.00099ms", "budget"),
+            ("goodput@500:1000001ms", "budget"),
+            ("goodput@500:1e-300ms", "budget"),
+        ] {
+            let e = ObjectiveSpec::parse(bad).expect_err(bad);
+            assert!(
+                e.0.starts_with(&format!("malformed objective '{bad}': {what} must be")),
+                "{bad}: {e}"
+            );
+            assert!(e.0.contains("[0.001, 1e6]"), "{bad}: {e}");
+        }
     }
 
     #[test]

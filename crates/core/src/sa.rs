@@ -34,11 +34,14 @@
 //! slow, energy-hungry D2D links are rejected exactly as in the paper
 //! ("automatically optimizes D2D communication" without a dedicated
 //! objective term). After all chains finish, the per-group best schemes
-//! are recombined, the OF map is rebuilt from the winners, and the
-//! whole DNN is re-evaluated for the reported cost; if cross-group OF
-//! interactions ever made the recombination worse than the initial
-//! scheme, the initial scheme is returned instead (the engine never
-//! regresses its starting point).
+//! are recombined, the OF map is rebuilt from the winners, and every
+//! group is re-evaluated under it for the reported cost — incrementally
+//! from its initial state, re-simulating only the members whose final
+//! assignment differs from the start; if cross-group OF interactions
+//! ever made the recombination worse than the initial scheme, the
+//! initial scheme is returned instead (the engine never regresses its
+//! starting point). The outcome carries the reports of both, so no
+//! caller evaluates either mapping again.
 //!
 //! Every applied move is evaluated exactly once, incrementally: each
 //! chain keeps a [`gemini_sim::GroupEvalState`] for its own group and
@@ -271,8 +274,15 @@ impl SaStats {
 pub struct SaOutcome {
     /// Optimized schemes, parallel to the partition's groups.
     pub lms: Vec<Lms>,
-    /// Evaluation reports, parallel to the groups.
+    /// Evaluation reports of `lms`, parallel to the groups: each is
+    /// bit-identical to a cold [`Evaluator::evaluate_group`] of its
+    /// group under the OF map of `lms`, so the engine sums these instead
+    /// of evaluating the mapping again.
     pub reports: Vec<GroupReport>,
+    /// Evaluation reports of the initial schemes (`init`), parallel to
+    /// the groups, on the same terms. With stripe initial schemes this
+    /// is the T-Map's evaluation.
+    pub init_reports: Vec<GroupReport>,
     /// Final cost `E^beta * D^gamma`.
     pub cost: f64,
     /// Run statistics.
@@ -428,7 +438,8 @@ struct ChainCtx<'a> {
 ///
 /// `init` supplies the initial scheme per group (normally the stripe
 /// heuristic). The returned outcome holds the best state visited, and
-/// is never worse than `init`. Chains for different groups run
+/// is never worse than `init`; it carries the group reports of both
+/// (see [`SaOutcome`]). Chains for different groups run
 /// concurrently (see [`SaOptions::threads`]); the outcome is identical
 /// at any thread count.
 pub fn optimize(
@@ -470,7 +481,8 @@ pub fn optimize(
         stats.final_cost = init_cost;
         return SaOutcome {
             lms: init,
-            reports: init_reports,
+            reports: init_reports.clone(),
+            init_reports,
             cost: init_cost,
             stats,
         };
@@ -512,44 +524,38 @@ pub fn optimize(
         lms_final.push(r.best_lms);
     }
 
-    // Joint evaluation of the recombined schemes under their own OF map.
+    // Joint evaluation of the recombined schemes under their own OF map,
+    // incremental from the start: each group re-simulates only the
+    // members whose assignment differs from its initial one. These
+    // states' counters stay out of `stats`, which counts chain work.
     let of_final = build_of_map(dnn, partition, &lms_final);
-    let reports_final: Vec<GroupReport> = (0..n_groups)
-        .map(|g| {
-            eval_group(
-                dnn,
-                ev,
-                partition,
-                &lms_final[g],
-                g,
-                &of_final,
-                &BTreeMap::new(),
-                batch,
-            )
+    let reports_final: Vec<GroupReport> = init_states
+        .into_iter()
+        .zip(partition.groups.iter().zip(&lms_final))
+        .map(|(mut st, (spec, l))| {
+            let gm = parse_group(dnn, spec, l, &of_final, &no_overlay);
+            let dirty = st.diff_dirty(&gm);
+            st.propose(ev, dnn, &gm, dirty.as_deref()).report().clone()
         })
         .collect();
     let e_final: f64 = reports_final.iter().map(|r| r.energy.total()).sum();
     let d_final: f64 = reports_final.iter().map(|r| r.delay_s).sum();
     let final_cost = cost_of(e_final, d_final, opts);
 
-    if final_cost <= init_cost {
-        stats.final_cost = final_cost;
-        SaOutcome {
-            lms: lms_final,
-            reports: reports_final,
-            cost: final_cost,
-            stats,
-        }
+    let (lms, reports, cost) = if final_cost <= init_cost {
+        (lms_final, reports_final, final_cost)
     } else {
         // Cross-group OF interactions made the recombination worse than
         // the starting point; keep the guarantee and return the start.
-        stats.final_cost = init_cost;
-        SaOutcome {
-            lms: init,
-            reports: init_reports,
-            cost: init_cost,
-            stats,
-        }
+        (init, init_reports.clone(), init_cost)
+    };
+    stats.final_cost = cost;
+    SaOutcome {
+        lms,
+        reports,
+        init_reports,
+        cost,
+        stats,
     }
 }
 
@@ -748,22 +754,6 @@ pub(crate) fn consumer_groups(dnn: &Dnn, partition: &GraphPartition) -> Vec<Vec<
         }
     }
     sets.into_iter().map(|s| s.into_iter().collect()).collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_group(
-    dnn: &Dnn,
-    ev: &Evaluator,
-    partition: &GraphPartition,
-    lms: &Lms,
-    g: usize,
-    of_map: &BTreeMap<LayerId, DramSel>,
-    overlay: &BTreeMap<LayerId, DramSel>,
-    batch: u32,
-) -> GroupReport {
-    let spec = &partition.groups[g];
-    let gm = parse_group(dnn, spec, lms, of_map, overlay);
-    ev.evaluate_group(dnn, &gm, batch)
 }
 
 fn parse_group(

@@ -397,8 +397,9 @@ impl ServiceState {
             };
             let ev = Evaluator::new(&arch);
             let engine = MappingEngine::new(&ev);
-            let t = engine.map_stripe(&dnn, p.batch, &MappingOptions::default());
-            let g = engine.map(
+            // The T-Map is the G-Map's start: stripe schemes over the same
+            // default partition.
+            let (g, t) = engine.map_with_start(
                 &dnn,
                 p.batch,
                 &MappingOptions {
@@ -406,7 +407,7 @@ impl ServiceState {
                     ..Default::default()
                 },
             );
-            let (t_delay, t_energy) = (t.report.delay_s, t.report.energy.total());
+            let (t_delay, t_energy) = (t.delay_s, t.energy.total());
             let (g_delay, g_energy) = (g.report.delay_s, g.report.energy.total());
 
             let mut lines = vec![

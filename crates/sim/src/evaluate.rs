@@ -124,6 +124,25 @@ pub struct DnnReport {
 }
 
 impl DnnReport {
+    /// The whole-DNN report of per-group reports, in group order: the
+    /// delay and every energy component are summed group by group, in
+    /// that order. [`Evaluator::evaluate_dnn`] is defined by this sum,
+    /// so a caller holding bit-identical group reports gets a
+    /// bit-identical DNN report without evaluating again.
+    pub fn from_groups(groups: Vec<GroupReport>) -> Self {
+        let mut delay_s = 0.0;
+        let mut energy = EnergyBreakdown::default();
+        for r in &groups {
+            delay_s += r.delay_s;
+            energy.add(&r.energy);
+        }
+        DnnReport {
+            delay_s,
+            energy,
+            groups,
+        }
+    }
+
     /// Energy-delay product (J*s).
     pub fn edp(&self) -> f64 {
         self.delay_s * self.energy.total()
@@ -340,23 +359,16 @@ impl Evaluator {
     }
 
     /// Evaluates a whole DNN mapping: per-group evaluation plus summation
-    /// (groups execute sequentially; inter-group data goes through DRAM,
-    /// which both the producing and consuming group account for).
+    /// ([`DnnReport::from_groups`]; groups execute sequentially, and
+    /// inter-group data goes through DRAM, which both the producing and
+    /// consuming group account for).
     pub fn evaluate_dnn(&self, dnn: &Dnn, groups: &[GroupMapping], batch: u32) -> DnnReport {
-        let mut delay = 0.0;
-        let mut energy = EnergyBreakdown::default();
-        let mut reports = Vec::with_capacity(groups.len());
-        for gm in groups {
-            let r = self.evaluate_group(dnn, gm, batch);
-            delay += r.delay_s;
-            energy.add(&r.energy);
-            reports.push(r);
-        }
-        DnnReport {
-            delay_s: delay,
-            energy,
-            groups: reports,
-        }
+        DnnReport::from_groups(
+            groups
+                .iter()
+                .map(|gm| self.evaluate_group(dnn, gm, batch))
+                .collect(),
+        )
     }
 
     /// Evaluates one layer group's mapping for a total batch of `batch`

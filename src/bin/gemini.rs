@@ -222,9 +222,8 @@ fn main() -> ExitCode {
             let arch = gemini::arch::presets::g_arch_72();
             let ev = Evaluator::new(&arch);
             let engine = MappingEngine::new(&ev);
-            let busiest = |m: &gemini::core::engine::MappedDnn| {
-                let r = m
-                    .report
+            let busiest = |report: &gemini::sim::DnnReport| {
+                let r = report
                     .groups
                     .iter()
                     .max_by(|a, b| {
@@ -236,8 +235,8 @@ fn main() -> ExitCode {
                     .expect("at least one group");
                 gemini::noc::Heatmap::build(ev.network(), &r.traffic)
             };
-            let t = engine.map_stripe(&dnn, batch, &MappingOptions::default());
-            let g = engine.map(
+            // The T-Map is the G-Map's start.
+            let (g, t) = engine.map_with_start(
                 &dnn,
                 batch,
                 &MappingOptions {
@@ -250,7 +249,7 @@ fn main() -> ExitCode {
                 arch.paper_tuple()
             );
             println!("\nT-Map:\n{}", busiest(&t).render_ascii());
-            println!("G-Map (SA {iters}):\n{}", busiest(&g).render_ascii());
+            println!("G-Map (SA {iters}):\n{}", busiest(&g.report).render_ascii());
             ExitCode::SUCCESS
         }
         Some("archs") => {

@@ -208,6 +208,38 @@ fn dse_refuses_stride_zero_promptly() {
 }
 
 #[test]
+fn dse_refuses_objective_rates_and_budgets_out_of_range() {
+    for (objective, what) in [
+        ("p99@1e300", "rate"),
+        ("goodput@1e-300:25ms", "rate"),
+        ("goodput@500:1e300ms", "budget"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gemini"))
+            .args([
+                "dse",
+                "--objective",
+                objective,
+                "--stride",
+                "400",
+                "--iters",
+                "1",
+            ])
+            .output()
+            .expect("spawn gemini CLI");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{objective}: {err}");
+        assert!(out.stdout.is_empty(), "{objective} printed before refusing");
+        assert!(
+            err.starts_with(&format!(
+                "malformed objective '{objective}': {what} must be a number"
+            )),
+            "{objective}: {err}"
+        );
+        assert!(err.contains("[0.001, 1e6]"), "{objective}: {err}");
+    }
+}
+
+#[test]
 fn unparsable_numeric_flags_are_refused_not_defaulted() {
     let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/manifests/ci_tiny.toml");
     for (args, refusal) in [
