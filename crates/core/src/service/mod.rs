@@ -493,6 +493,12 @@ impl ServiceState {
                 "invalid stride 0: must be at least 1",
             ));
         }
+        // Re-ranking no candidate would silently re-rank one.
+        if p.rerank_k == 0 {
+            return Err(ServiceError::bad_request(
+                "invalid rerank_k 0: must be at least 1",
+            ));
+        }
         let Some((fidelity, bound)) = crate::fidelity::parse_policy(&p.fidelity, p.rerank_k) else {
             return Err(ServiceError::bad_request(format!(
                 "unknown fidelity policy '{}'; use analytic|rerank|validate, \
@@ -852,6 +858,29 @@ mod tests {
                 .unwrap_err();
             assert_eq!(e.code, ErrorCode::BadRequest);
             assert!(e.detail.contains("invalid tops"), "{}", e.detail);
+        }
+    }
+
+    #[test]
+    fn dse_refuses_rerank_k_zero_under_every_policy() {
+        let state = ServiceState::one_shot();
+        for fidelity in ["analytic", "rerank", "validate+prune"] {
+            let e = state
+                .handle(&RequestBody::Dse(DseParams {
+                    tops: 72.0,
+                    stride: 400,
+                    batch: 2,
+                    iters: 10,
+                    seed: 0,
+                    fidelity: fidelity.to_string(),
+                    rerank_k: 0,
+                    threads: None,
+                    sa_threads: 1,
+                    objective: "mc-e-d".to_string(),
+                }))
+                .unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest);
+            assert_eq!(e.detail, "invalid rerank_k 0: must be at least 1");
         }
     }
 

@@ -6,11 +6,16 @@
 //! routing (XY on the mesh, dimension-order on the folded torus) plus
 //! multicast trees (union of unicast paths, each link counted once, which
 //! is how the evaluator honours the template's multicast capability),
-//! built in closed form from per-row and per-column spans.
+//! built in closed form from per-row and per-column spans. Each core's
+//! DRAM fan-out — the links of its write paths to every DRAM port and of
+//! its read paths from every port — is a table built on the core's first
+//! use ([`Network::dram_write_links`], [`Network::dram_read_links`]), so
+//! the evaluator replays DRAM routes instead of walking them.
 //!
 //! A [`TrafficMap`] accumulates bytes per link for one pipeline stage;
 //! the evaluator turns it into link times (`bytes / bandwidth`), energy
-//! (NoC vs D2D) and the Fig.-9-style heatmaps.
+//! (NoC vs D2D) and the Fig.-9-style heatmaps, reading every statistic
+//! it needs from one pass over the links ([`TrafficMap::scan`]).
 //!
 //! # Example
 //!
@@ -38,4 +43,4 @@ pub use flowsim::{analytic_bottleneck, simulate_flows, Flow, FlowSimResult, Flow
 pub use heatmap::{Heatmap, HeatmapEntry};
 pub use network::{Link, LinkId, LinkKind, Network, NodeId, TreeScratch};
 pub use packetsim::{simulate_packets, PacketSimConfig, PacketSimResult, PacketSimWorkspace};
-pub use traffic::TrafficMap;
+pub use traffic::{LinkScan, TrafficMap};

@@ -1,5 +1,7 @@
 //! Link enumeration and routing.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use gemini_arch::{ArchConfig, Coord, CoreId, Topology};
@@ -85,9 +87,29 @@ pub struct Network {
     dram_ej: Vec<Vec<u32>>,
     /// DRAM port coordinates, cached from the arch.
     dram_ports: Vec<Vec<Coord>>,
+    /// Each core's DRAM fan-out, built on first use: most evaluators
+    /// touch few cores, and some only read `dram_port_coords`.
+    fan_out: Box<[OnceLock<DramFanOut>]>,
 }
 
 const NO_LINK: u32 = u32::MAX;
+
+/// The DRAM fan-out of one core: for every DRAM in DRAM order, the
+/// links of the core's write paths to each port, then those of its read
+/// paths from each port, each in port order.
+#[derive(Debug, Clone)]
+struct DramFanOut {
+    links: Box<[LinkId]>,
+    /// Segment `i` is `links[ends[i]..ends[i + 1]]`: segment `2 d` is
+    /// DRAM `d`'s writes and segment `2 d + 1` its reads.
+    ends: Box<[u32]>,
+}
+
+impl DramFanOut {
+    fn segment(&self, i: usize) -> &[LinkId] {
+        &self.links[self.ends[i] as usize..self.ends[i + 1] as usize]
+    }
+}
 
 /// How far the X-first routes of one multicast tree reach along one
 /// row or column: the most hops taken forward (increasing coordinate)
@@ -237,6 +259,7 @@ impl Network {
             dram_inj,
             dram_ej,
             dram_ports,
+            fan_out: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -402,6 +425,47 @@ impl Network {
             scratch.push(LinkId(self.dram_ej[d as usize][i]));
             f(scratch);
         }
+    }
+
+    /// The links of every write path from core `from` to DRAM `d`,
+    /// concatenated in port order: exactly the paths
+    /// [`Self::for_each_dram_write_path`] visits, in its order. Adding a
+    /// per-port volume to each link of this slice performs, link by
+    /// link, the same additions as adding it to each visited path.
+    ///
+    /// The core's table (every DRAM's write and read links) is built on
+    /// the first call for that core and kept.
+    pub fn dram_write_links(&self, from: CoreId, d: u32) -> &[LinkId] {
+        self.fan_out(from).segment(2 * d as usize)
+    }
+
+    /// The links of every read path from DRAM `d` to core `to`,
+    /// concatenated in port order: exactly the paths
+    /// [`Self::for_each_dram_read_path`] visits, in its order. A port's
+    /// one-destination [`Self::multicast_from_dram`] tree holds the same
+    /// links as its read path, each once, so this slice also replays the
+    /// one-destination trees of every port. Built like
+    /// [`Self::dram_write_links`].
+    pub fn dram_read_links(&self, d: u32, to: CoreId) -> &[LinkId] {
+        self.fan_out(to).segment(2 * d as usize + 1)
+    }
+
+    fn fan_out(&self, core: CoreId) -> &DramFanOut {
+        self.fan_out[core.idx()].get_or_init(|| {
+            let mut links = Vec::new();
+            let mut ends = vec![0u32];
+            let mut path = Vec::new();
+            for d in 0..self.dram_ports.len() as u32 {
+                self.for_each_dram_write_path(core, d, &mut path, |p| links.extend_from_slice(p));
+                ends.push(links.len() as u32);
+                self.for_each_dram_read_path(d, core, &mut path, |p| links.extend_from_slice(p));
+                ends.push(links.len() as u32);
+            }
+            DramFanOut {
+                links: links.into_boxed_slice(),
+                ends: ends.into_boxed_slice(),
+            }
+        })
     }
 
     /// Multicast tree from one core to many: the union of the unicast

@@ -2,7 +2,30 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::network::{LinkId, LinkKind, Network};
+use crate::network::{LinkId, Network};
+
+/// The link statistics of one [`TrafficMap`], from one pass over its
+/// links ([`TrafficMap::scan`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkScan {
+    /// The loaded link with the longest transfer time, and that time;
+    /// the first such link on a tie. `None` when no link is loaded.
+    pub busiest: Option<(LinkId, f64)>,
+    /// The longest transfer time of a loaded link (NaN times ignored),
+    /// or 0 when no link is loaded.
+    pub max_time: f64,
+    /// Mean transfer time across *all* links, idle links counting as
+    /// zero; 0 on a network without links. The evaluator's congestion
+    /// surcharge: a mapping that moves the same bytes over longer paths
+    /// raises average utilization and pays queueing delay even when no
+    /// single link saturates.
+    pub mean_time: f64,
+    /// Byte-hops on on-chip links: NoC links and the DRAM port links,
+    /// which are on-chip wiring inside the IO die.
+    pub noc_bytes: f64,
+    /// Byte-hops on D2D links.
+    pub d2d_bytes: f64,
+}
 
 /// Bytes carried by every link during one pipeline stage.
 ///
@@ -53,31 +76,55 @@ impl TrafficMap {
             .map(|(i, b)| (LinkId(i as u32), *b))
     }
 
-    /// The transfer time (seconds) of the slowest link:
-    /// `max(bytes / bw)`. Bandwidths are GB/s, so bytes are divided by
-    /// `bw * 1e9`.
-    pub fn bottleneck_time(&self, net: &Network) -> f64 {
-        let mut worst: f64 = 0.0;
-        for (i, &b) in self.bytes.iter().enumerate() {
+    /// Every link statistic the evaluator reads, from one pass over the
+    /// links in link order. A link is loaded when its bytes are `> 0.0`;
+    /// its transfer time is `bytes / (bw * 1e9)` (bandwidths are GB/s).
+    ///
+    /// Each sum adds its terms in link order and starts where
+    /// `Iterator::sum` starts, at `-0.0`, so a sum over no link (the
+    /// D2D bytes of a monolithic network) is `-0.0`, and each field is
+    /// bit-identical to the separate pass it replaces.
+    pub fn scan(&self, net: &Network) -> LinkScan {
+        debug_assert_eq!(self.bytes.len(), net.n_links(), "map of another network");
+        let mut scan = LinkScan {
+            busiest: None,
+            max_time: 0.0,
+            mean_time: 0.0,
+            noc_bytes: -0.0,
+            d2d_bytes: -0.0,
+        };
+        let mut time_sum = -0.0;
+        for (i, (&b, link)) in self.bytes.iter().zip(net.links()).enumerate() {
+            if link.kind.is_d2d() {
+                scan.d2d_bytes += b;
+            } else {
+                scan.noc_bytes += b;
+            }
             if b > 0.0 {
-                worst = worst.max(b / (net.link(LinkId(i as u32)).bw * 1e9));
+                let t = b / (link.bw * 1e9);
+                if scan.busiest.map_or(true, |(_, bt)| t > bt) {
+                    scan.busiest = Some((LinkId(i as u32), t));
+                }
+                scan.max_time = scan.max_time.max(t);
+                time_sum += t;
             }
         }
-        worst
+        if !self.bytes.is_empty() {
+            scan.mean_time = time_sum / self.bytes.len() as f64;
+        }
+        scan
     }
 
-    /// The most loaded link and its time, if any traffic exists.
+    /// The transfer time (seconds) of the slowest link:
+    /// `max(bytes / bw)` ([`LinkScan::max_time`]).
+    pub fn bottleneck_time(&self, net: &Network) -> f64 {
+        self.scan(net).max_time
+    }
+
+    /// The most loaded link and its time, if any traffic exists
+    /// ([`LinkScan::busiest`]).
     pub fn busiest(&self, net: &Network) -> Option<(LinkId, f64)> {
-        let mut best: Option<(LinkId, f64)> = None;
-        for (i, &b) in self.bytes.iter().enumerate() {
-            if b > 0.0 {
-                let t = b / (net.link(LinkId(i as u32)).bw * 1e9);
-                if best.map_or(true, |(_, bt)| t > bt) {
-                    best = Some((LinkId(i as u32), t));
-                }
-            }
-        }
-        best
+        self.scan(net).busiest
     }
 
     /// Total byte-hops (sum of bytes over all links). The quantity whose
@@ -86,43 +133,20 @@ impl TrafficMap {
         self.bytes.iter().sum()
     }
 
-    /// Mean per-link transfer time across *all* links (idle links count
-    /// as zero). Used by the evaluator as a congestion surcharge: a
-    /// mapping that moves the same bytes over longer paths raises
-    /// average utilization and pays queueing delay even when no single
-    /// link saturates.
+    /// Mean per-link transfer time across *all* links
+    /// ([`LinkScan::mean_time`]).
     pub fn mean_link_time(&self, net: &Network) -> f64 {
-        if self.bytes.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| **b > 0.0)
-            .map(|(i, b)| b / (net.link(LinkId(i as u32)).bw * 1e9))
-            .sum();
-        total / self.bytes.len() as f64
+        self.scan(net).mean_time
     }
 
-    /// Byte-hops on D2D links only.
+    /// Byte-hops on D2D links only ([`LinkScan::d2d_bytes`]).
     pub fn d2d_hop_bytes(&self, net: &Network) -> f64 {
-        self.sum_kind(net, |k| k.is_d2d())
+        self.scan(net).d2d_bytes
     }
 
-    /// Byte-hops on on-chip NoC links only (incl. DRAM port links, which
-    /// are on-chip wiring inside the IO die).
+    /// Byte-hops on on-chip NoC links only ([`LinkScan::noc_bytes`]).
     pub fn noc_hop_bytes(&self, net: &Network) -> f64 {
-        self.sum_kind(net, |k| !k.is_d2d())
-    }
-
-    fn sum_kind(&self, net: &Network, pred: impl Fn(LinkKind) -> bool) -> f64 {
-        self.bytes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| pred(net.link(LinkId(*i as u32)).kind))
-            .map(|(_, b)| b)
-            .sum()
+        self.scan(net).noc_bytes
     }
 
     /// Gini coefficient of per-link transfer *times* across all links
@@ -221,6 +245,116 @@ impl TrafficMap {
 mod tests {
     use super::*;
     use gemini_arch::presets;
+
+    /// The separate passes [`TrafficMap::scan`] replaced, written out.
+    fn separate_passes(t: &TrafficMap, net: &Network) -> LinkScan {
+        let time = |i: usize, b: f64| b / (net.link(LinkId(i as u32)).bw * 1e9);
+        let mut busiest: Option<(LinkId, f64)> = None;
+        let mut max_time: f64 = 0.0;
+        for (i, &b) in t.bytes.iter().enumerate() {
+            if b > 0.0 {
+                if busiest.map_or(true, |(_, bt)| time(i, b) > bt) {
+                    busiest = Some((LinkId(i as u32), time(i, b)));
+                }
+                max_time = max_time.max(time(i, b));
+            }
+        }
+        let time_sum: f64 = t
+            .bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| **b > 0.0)
+            .map(|(i, &b)| time(i, b))
+            .sum();
+        let kind_sum = |d2d: bool| -> f64 {
+            t.bytes
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| net.link(LinkId(*i as u32)).kind.is_d2d() == d2d)
+                .map(|(_, b)| b)
+                .sum()
+        };
+        LinkScan {
+            busiest,
+            max_time,
+            mean_time: if t.bytes.is_empty() {
+                0.0
+            } else {
+                time_sum / t.bytes.len() as f64
+            },
+            noc_bytes: kind_sum(false),
+            d2d_bytes: kind_sum(true),
+        }
+    }
+
+    /// The fields by `to_bits`, except that every NaN is one value: Rust
+    /// leaves the sign and payload of a NaN result unspecified.
+    fn bits(s: &LinkScan) -> (Option<(LinkId, u64)>, [u64; 4]) {
+        let b = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+        (
+            s.busiest.map(|(l, t)| (l, b(t))),
+            [s.max_time, s.mean_time, s.noc_bytes, s.d2d_bytes].map(b),
+        )
+    }
+
+    #[test]
+    fn scan_matches_the_separate_passes_bit_for_bit() {
+        let monolithic = gemini_arch::ArchConfig::builder()
+            .cores(4, 4)
+            .cuts(1, 1)
+            .build()
+            .unwrap();
+        // splitmix64, so a failing case replays from its seed.
+        let mut state = 0x5CA7_0001u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let special = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -3.0,
+            f64::MIN_POSITIVE,
+        ];
+        for arch in [presets::g_arch_72(), presets::t_arch(), monolithic] {
+            let net = Network::new(&arch);
+            let n = net.n_links();
+            for case in 0..300 {
+                let mut t = TrafficMap::new(&net);
+                // Case 0 stays all zero; the rest load a random share of
+                // the links, some with NaN, infinite or negative bytes.
+                for _ in 0..(case % 7) * n / 6 {
+                    let l = LinkId((next() % n as u64) as u32);
+                    let r = next();
+                    let b = if r % 5 == 0 {
+                        special[(r / 5 % special.len() as u64) as usize]
+                    } else {
+                        (r >> 11) as f64 / (1u64 << 20) as f64
+                    };
+                    t.add(l, b);
+                }
+                let (got, want) = (t.scan(&net), separate_passes(&t, &net));
+                assert_eq!(bits(&got), bits(&want), "{arch:?} case {case}");
+            }
+            // Every sum over no link keeps `Iterator::sum`'s -0.0.
+            let idle = TrafficMap::new(&net).scan(&net);
+            assert_eq!(idle.busiest, None);
+            assert_eq!(idle.max_time.to_bits(), 0.0f64.to_bits());
+            assert_eq!(idle.mean_time.to_bits(), (-0.0f64).to_bits());
+            if net.links().iter().all(|l| !l.kind.is_d2d()) {
+                assert_eq!(idle.d2d_bytes.to_bits(), (-0.0f64).to_bits());
+                let mut loaded = TrafficMap::new(&net);
+                loaded.add(LinkId(0), 5.0);
+                assert_eq!(loaded.scan(&net).d2d_bytes.to_bits(), (-0.0f64).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn bottleneck_prefers_slow_d2d() {

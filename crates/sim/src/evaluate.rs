@@ -403,7 +403,6 @@ impl Evaluator {
             load_traffic: TrafficMap::new(&self.net),
             load_dram: vec![0.0f64; d],
         };
-        let mut scratch = Vec::with_capacity(64);
         let mut tree = TreeScratch::default();
 
         // --- Per-core compute (intra-core engine) -------------------
@@ -464,7 +463,6 @@ impl Evaluator {
                     sel,
                     &mut rec.traffic,
                     &mut rec.dram_bytes,
-                    &mut scratch,
                 );
             }
         }
@@ -551,7 +549,6 @@ impl Evaluator {
         // Weights are loaded once per group execution (one-time map);
         // any working-set overflow beyond the GLB spills to DRAM every
         // round (written back and re-fetched), on top of that.
-        let mut scratch = Vec::new();
         let mut tree = TreeScratch::default();
         if self.opts.spill_enabled {
             for (i, &ws) in core_working_set.iter().enumerate() {
@@ -564,7 +561,6 @@ impl Evaluator {
                         DramSel::Interleaved,
                         &mut traffic,
                         &mut dram_bytes,
-                        &mut scratch,
                     );
                     self.dram_multicast(
                         &[core],
@@ -589,13 +585,15 @@ impl Evaluator {
                 bottleneck = StageBottleneck::Compute(CoreId(i as u16));
             }
         }
-        if let Some((link, t)) = traffic.busiest(&self.net) {
+        let links = traffic.scan(&self.net);
+        let load_links = load_traffic.scan(&self.net);
+        if let Some((link, t)) = links.busiest {
             // Beyond the saturated link, average utilization costs
             // queueing delay: mappings that move the same bytes over
             // longer paths are slower even before any link saturates
             // (congestion surcharge; see `docs/ARCHITECTURE.md`, "The
             // NoC fidelity ladder in the DSE").
-            let t = t + self.opts.congestion_weight * traffic.mean_link_time(&self.net);
+            let t = t + self.opts.congestion_weight * links.mean_time;
             if t > stage {
                 stage = t;
                 bottleneck = StageBottleneck::Link(link);
@@ -611,7 +609,7 @@ impl Evaluator {
         }
 
         // --- Weight-load time (resident case) -------------------------
-        let mut weight_load_s = load_traffic.bottleneck_time(&self.net);
+        let mut weight_load_s = load_links.max_time;
         for &b in &load_dram {
             weight_load_s = weight_load_s.max(b / per_dram_bw);
         }
@@ -627,11 +625,11 @@ impl Evaluator {
             mac: macs_total as f64 * self.energy.mac_pj * pj,
             vector: vector_total as f64 * self.energy.vector_pj * pj,
             glb: glb_energy_pj * pj,
-            noc: traffic.noc_hop_bytes(&self.net) * self.energy.noc_pj_per_byte_hop * pj,
+            noc: links.noc_bytes * self.energy.noc_pj_per_byte_hop * pj,
             d2d: 0.0,
             dram: dram_bytes.iter().sum::<f64>() * self.energy.dram_pj_per_byte * pj,
         };
-        let d2d_volume_energy = traffic.d2d_hop_bytes(&self.net) * self.energy.d2d_pj_per_byte * pj;
+        let d2d_volume_energy = links.d2d_bytes * self.energy.d2d_pj_per_byte * pj;
         per_round.d2d = match self.energy.d2d_model {
             D2dEnergyModel::GrsVolume => d2d_volume_energy,
             // SerDes burns power for the whole stage on every interface.
@@ -644,9 +642,9 @@ impl Evaluator {
         };
         let mut energy = per_round.scaled(rounds as f64);
         // One-time weight loading energy.
-        energy.noc += load_traffic.noc_hop_bytes(&self.net) * self.energy.noc_pj_per_byte_hop * pj;
+        energy.noc += load_links.noc_bytes * self.energy.noc_pj_per_byte_hop * pj;
         if matches!(self.energy.d2d_model, D2dEnergyModel::GrsVolume) {
-            energy.d2d += load_traffic.d2d_hop_bytes(&self.net) * self.energy.d2d_pj_per_byte * pj;
+            energy.d2d += load_links.d2d_bytes * self.energy.d2d_pj_per_byte * pj;
         }
         energy.dram += load_dram.iter().sum::<f64>() * self.energy.dram_pj_per_byte * pj;
 
@@ -780,6 +778,12 @@ impl Evaluator {
     /// Multicasts `vol` bytes from DRAM(s) chosen by `sel` to `cores`,
     /// splitting across controllers (interleave) and each controller's
     /// ports.
+    ///
+    /// A port's tree to one core is that core's read path from the
+    /// port, each link once, so one destination (and each destination of
+    /// the unicast ablation) replays the core's read links
+    /// ([`Network::dram_read_links`]): the same additions, in the same
+    /// order, as building the trees.
     fn dram_multicast(
         &self,
         cores: &[CoreId],
@@ -793,25 +797,24 @@ impl Evaluator {
         for dram in drams {
             dram_bytes[dram as usize] += v;
             let per_port = v / self.net.dram_port_coords(dram).len() as f64;
-            if self.opts.multicast_enabled {
+            if cores.len() == 1 || !self.opts.multicast_enabled {
+                // One destination, or the unicast ablation's own copy
+                // for each destination.
+                for &c in cores {
+                    traffic.add_path(self.net.dram_read_links(dram, c), per_port);
+                }
+            } else {
                 self.net
                     .multicast_from_dram(dram, cores, tree, |port_tree| {
                         traffic.add_path(port_tree, per_port);
                     });
-            } else {
-                // Unicast ablation: each destination gets its own copy.
-                for c in cores {
-                    self.net
-                        .multicast_from_dram(dram, std::slice::from_ref(c), tree, |p| {
-                            traffic.add_path(p, per_port);
-                        });
-                }
             }
         }
     }
 
     /// Core-to-DRAM write of `vol` bytes, split across the controller's
-    /// ports (and controllers when interleaved).
+    /// ports (and controllers when interleaved): a replay of the core's
+    /// write links ([`Network::dram_write_links`]).
     fn add_dram_write(
         &self,
         core: CoreId,
@@ -819,16 +822,12 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        scratch: &mut Vec<LinkId>,
     ) {
         let (drams, v) = sel.targets(self.arch.dram_count(), vol);
         for dram in drams {
             dram_bytes[dram as usize] += v;
             let per_port = v / self.net.dram_port_coords(dram).len() as f64;
-            self.net
-                .for_each_dram_write_path(core, dram, scratch, |path| {
-                    traffic.add_path(path, per_port);
-                });
+            traffic.add_path(self.net.dram_write_links(core, dram), per_port);
         }
     }
 }

@@ -29,7 +29,7 @@ use gemini_core::engine::{MappedDnn, MappingEngine, MappingOptions};
 use gemini_core::partition::PartitionOptions;
 use gemini_core::sa::SaOptions;
 use gemini_model::Dnn;
-use gemini_sim::Evaluator;
+use gemini_sim::{DnnReport, Evaluator};
 
 /// The Tangram baseline mapper (DP partition + stripe SPM, no SA).
 #[derive(Debug)]
@@ -111,17 +111,17 @@ impl MapComparison {
     }
 }
 
-fn side(m: &MappedDnn, ev: &Evaluator) -> ComparisonSide {
+fn side(r: &DnnReport, ev: &Evaluator) -> ComparisonSide {
     let net = ev.network();
     let mut hop = 0.0;
     let mut d2d = 0.0;
-    for g in &m.report.groups {
+    for g in &r.groups {
         hop += g.traffic.total_hop_bytes();
         d2d += g.traffic.d2d_hop_bytes(net);
     }
     ComparisonSide {
-        delay_s: m.report.delay_s,
-        energy_j: m.report.energy.total(),
+        delay_s: r.delay_s,
+        energy_j: r.energy.total(),
         hop_bytes: hop,
         d2d_hop_bytes: d2d,
     }
@@ -129,18 +129,26 @@ fn side(m: &MappedDnn, ev: &Evaluator) -> ComparisonSide {
 
 /// Runs T-Map and G-Map on the same (architecture, DNN, batch) and
 /// reports both.
+///
+/// Without `sa.bound_seed`, SA starts from the stripe scheme of every
+/// group of the same partition, so the start's report is the T-Map's,
+/// bit for bit ([`MappingEngine::map_with_start`]): one partition and
+/// one cold evaluation serve both sides.
 pub fn compare_mappings(ev: &Evaluator, dnn: &Dnn, batch: u32, sa: &SaOptions) -> MapComparison {
     let engine = MappingEngine::new(ev);
-    let opts_t = MappingOptions::default();
-    let opts_g = MappingOptions {
+    let opts = MappingOptions {
         sa: sa.clone(),
         ..Default::default()
     };
-    let t = engine.map_stripe(dnn, batch, &opts_t);
-    let g = engine.map(dnn, batch, &opts_g);
+    let (g, start) = engine.map_with_start(dnn, batch, &opts);
+    let tangram = if sa.bound_seed {
+        side(&engine.map_stripe(dnn, batch, &opts).report, ev)
+    } else {
+        side(&start, ev)
+    };
     MapComparison {
-        tangram: side(&t, ev),
-        gemini: side(&g, ev),
+        tangram,
+        gemini: side(&g.report, ev),
         gemini_stats: g.sa_stats,
     }
 }

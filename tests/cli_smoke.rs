@@ -208,6 +208,25 @@ fn dse_refuses_stride_zero_promptly() {
 }
 
 #[test]
+fn dse_refuses_rerank_k_zero() {
+    let (ok, out, err) = gemini_within(
+        20,
+        &[
+            "dse",
+            "--fidelity",
+            "rerank",
+            "--rerank-k",
+            "0",
+            "--iters",
+            "1",
+        ],
+    );
+    assert!(!ok, "--rerank-k 0 must fail");
+    assert_eq!(err.trim(), "invalid rerank_k 0: must be at least 1");
+    assert!(out.is_empty(), "printed before refusing: {out}");
+}
+
+#[test]
 fn dse_refuses_objective_rates_and_budgets_out_of_range() {
     for (objective, what) in [
         ("p99@1e300", "rate"),

@@ -15,6 +15,14 @@
 //! 72-TOPs Table-I candidates, the T-Arch torus and builder-made folded
 //! tori that are one core wide, one core tall, two cores across (where
 //! every leg ties) or cut several times.
+//!
+//! The per-core DRAM fan-out tables (`Network::dram_write_links` and
+//! `Network::dram_read_links`) are checked for every core and DRAM of
+//! the same architectures, plus meshes and folded tori whose DRAMs have
+//! unequal port counts: each table must be the concatenation, in order,
+//! of the paths `for_each_dram_write_path` or `for_each_dram_read_path`
+//! visit, and each port's slice of a read table must hold exactly the
+//! links of that port's one-destination `multicast_from_dram` tree.
 
 use std::collections::{HashMap, HashSet};
 
@@ -233,6 +241,46 @@ fn check_arch(arch: &ArchConfig, rng: &mut SplitMix, cases: usize) -> usize {
     checked
 }
 
+/// Checks both DRAM fan-out tables of every core and DRAM of one arch;
+/// returns the number of (core, DRAM) pairs checked.
+fn check_fan_out(arch: &ArchConfig) -> usize {
+    let net = Network::new(arch);
+    let mut scratch = Vec::new();
+    let mut tree = TreeScratch::default();
+    let mut checked = 0;
+    for c in 0..arch.n_cores() {
+        let core = CoreId(c as u16);
+        for d in 0..arch.dram_count() {
+            let what = || format!("core {:?}, DRAM {d}, {}", arch.coord(core), name(arch));
+            let mut writes = Vec::new();
+            net.for_each_dram_write_path(core, d, &mut scratch, |p| writes.extend_from_slice(p));
+            assert_eq!(
+                net.dram_write_links(core, d),
+                &writes[..],
+                "write table of {}",
+                what()
+            );
+            let mut reads = Vec::new();
+            net.for_each_dram_read_path(d, core, &mut scratch, |p| reads.extend_from_slice(p));
+            let table = net.dram_read_links(d, core);
+            assert_eq!(table, &reads[..], "read table of {}", what());
+            let mut rest = table;
+            let mut port = 0;
+            net.multicast_from_dram(d, &[core], &mut tree, |t| {
+                assert!(rest.len() >= t.len(), "read table too short: {}", what());
+                let (slice, tail) = rest.split_at(t.len());
+                let port_what = || format!("port {port} of the read table, {}", what());
+                assert_same_tree(slice, t, &port_what);
+                rest = tail;
+                port += 1;
+            });
+            assert!(rest.is_empty(), "read table too long: {}", what());
+            checked += 1;
+        }
+    }
+    checked
+}
+
 fn torus(x: u32, y: u32, xcut: u32, ycut: u32) -> ArchConfig {
     ArchConfig::builder()
         .cores(x, y)
@@ -272,4 +320,62 @@ fn closed_form_trees_match_the_route_union_on_folded_tori() {
         checked += check_arch(arch, &mut rng, 120);
     }
     assert!(checked > 12_000, "only {checked} trees checked");
+}
+
+/// Builder-made arches whose DRAMs have unequal port counts: three DRAMs
+/// on five rows get 2, 5 and 3 ports, and five DRAMs on four rows get 1,
+/// 2, 1, 2 and 2.
+fn unequal_port_arches() -> Vec<ArchConfig> {
+    let with = |x, y, xcut, topology, drams| {
+        ArchConfig::builder()
+            .cores(x, y)
+            .cuts(xcut, 1)
+            .topology(topology)
+            .dram_count(drams)
+            .build()
+            .unwrap()
+    };
+    vec![
+        with(5, 5, 1, Topology::Mesh, 3),
+        with(6, 5, 2, Topology::Mesh, 3),
+        with(6, 5, 2, Topology::FoldedTorus, 3),
+        with(7, 5, 1, Topology::FoldedTorus, 3),
+        with(6, 4, 3, Topology::Mesh, 5),
+        with(4, 4, 2, Topology::FoldedTorus, 5),
+    ]
+}
+
+#[test]
+fn dram_fan_out_tables_match_the_route_walks() {
+    let mut arches: Vec<ArchConfig> = DseSpec::table1(72.0)
+        .candidates()
+        .into_iter()
+        .step_by(97)
+        .collect();
+    arches.extend([
+        presets::t_arch(),
+        torus(1, 8, 1, 4),
+        torus(9, 1, 3, 1),
+        torus(1, 1, 1, 1),
+        torus(2, 6, 2, 3),
+        torus(7, 2, 1, 2),
+        torus(12, 10, 4, 5),
+        torus(6, 9, 3, 3),
+        torus(5, 5, 1, 1),
+    ]);
+    let unequal = unequal_port_arches();
+    for arch in &unequal {
+        let net = Network::new(arch);
+        let ports: Vec<usize> = (0..arch.dram_count())
+            .map(|d| net.dram_port_coords(d).len())
+            .collect();
+        assert!(
+            ports.iter().any(|&p| p != ports[0]),
+            "{}: equal port counts {ports:?}",
+            name(arch)
+        );
+    }
+    arches.extend(unequal);
+    let checked: usize = arches.iter().map(check_fan_out).sum();
+    assert!(checked > 6_000, "only {checked} core-DRAM pairs checked");
 }
