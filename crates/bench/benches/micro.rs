@@ -1,13 +1,18 @@
-//! Criterion micro-benchmarks of the framework's hot components:
-//! routing, traffic accumulation, intra-core search, group evaluation
-//! (cold vs. warm memo cache), SA iteration throughput (sequential vs.
-//! parallel chains) and monetary-cost evaluation.
+//! Micro-benchmarks of the framework's hot components: routing,
+//! traffic accumulation, intra-core search, group evaluation, SA
+//! iteration throughput (sequential vs. parallel chains), graph
+//! partitioning, monetary-cost evaluation and packet simulation.
+//!
+//! Each timing prints the minimum mean per-call wall clock over
+//! [`SAMPLES`] samples ([`time_min`]). `GEMINI_MICRO_SECTIONS` selects
+//! sections by name ([`section_enabled`]); unset, every section runs.
 //!
 //! The SA comparison additionally writes a wall-clock summary to
 //! `bench_results/sa_parallel.csv`: the engine at 1 and 4 chain
 //! threads, with delta-hit counts and the verified bit-identical cost.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
 
 use gemini_arch::presets;
 use gemini_bench::{results_dir, sa_iters, section_enabled, sig6, workspace_root, write_csv};
@@ -20,42 +25,93 @@ use gemini_cost::CostModel;
 use gemini_intracore::{CoreParams, IntraCoreExplorer, PartWorkload};
 use gemini_model::{zoo, LayerId};
 use gemini_noc::{Network, TrafficMap, TreeScratch};
-use gemini_sim::{DramSel, EvalCache, Evaluator};
+use gemini_sim::{DramSel, Evaluator};
 
-fn bench_routing(c: &mut Criterion) {
+/// Samples per timing; [`time_min`] reports the fastest.
+const SAMPLES: usize = 20;
+/// Target wall clock of one sample, in seconds.
+const SAMPLE_S: f64 = 0.15;
+
+/// Times `routine` on fresh inputs from `setup` and prints the minimum,
+/// over [`SAMPLES`] samples, of the mean wall clock per call. Setup is
+/// excluded from the samples. A warm-up of about one sample's length
+/// sets how many calls each sample makes (at least one).
+fn time_min<I, O>(name: &str, mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) {
+    let warm = Instant::now();
+    let mut warm_calls = 0usize;
+    while warm_calls == 0 || warm.elapsed().as_secs_f64() < SAMPLE_S {
+        black_box(routine(setup()));
+        warm_calls += 1;
+    }
+    let calls = warm_calls.min(1_000_000);
+    let best = (0..SAMPLES)
+        .map(|_| {
+            let inputs: Vec<I> = (0..calls).map(|_| setup()).collect();
+            let t = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            t.elapsed().as_secs_f64() / calls as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "{name:<40} min {:>12}  ({SAMPLES} samples x {calls} calls)",
+        fmt_time(best)
+    );
+}
+
+fn fmt_time(secs: f64) -> String {
+    if secs >= 1.0 {
+        format!("{secs:.3} s")
+    } else if secs >= 1e-3 {
+        format!("{:.3} ms", secs * 1e3)
+    } else if secs >= 1e-6 {
+        format!("{:.3} us", secs * 1e6)
+    } else {
+        format!("{:.1} ns", secs * 1e9)
+    }
+}
+
+fn bench_routing() {
     let arch = presets::g_arch_72();
     let net = Network::new(&arch);
     let mut path = Vec::with_capacity(16);
-    c.bench_function("noc/xy_route_corner_to_corner", |b| {
-        b.iter(|| {
+    time_min(
+        "noc/xy_route_corner_to_corner",
+        || (),
+        |()| {
             path.clear();
             net.route_cores(arch.core_at(0, 0), arch.core_at(5, 5), &mut path);
-            std::hint::black_box(path.len())
-        })
-    });
+            path.len()
+        },
+    );
     let dests: Vec<_> = (0..6).map(|x| arch.core_at(x, 5)).collect();
     let mut tree = TreeScratch::default();
-    c.bench_function("noc/multicast_row", |b| {
-        b.iter(|| {
-            let links = net.multicast_cores(arch.core_at(0, 0), &dests, &mut tree);
-            std::hint::black_box(links.len())
-        })
-    });
+    time_min(
+        "noc/multicast_row",
+        || (),
+        |()| {
+            net.multicast_cores(arch.core_at(0, 0), &dests, &mut tree)
+                .len()
+        },
+    );
 }
 
-fn bench_traffic(c: &mut Criterion) {
+fn bench_traffic() {
     let arch = presets::g_arch_72();
     let net = Network::new(&arch);
     let mut t = TrafficMap::new(&net);
     let mut path = Vec::new();
     net.route_cores(arch.core_at(0, 0), arch.core_at(5, 5), &mut path);
-    c.bench_function("noc/traffic_bottleneck", |b| {
-        t.add_path(&path, 1024.0);
-        b.iter(|| std::hint::black_box(t.bottleneck_time(&net)))
-    });
+    t.add_path(&path, 1024.0);
+    time_min(
+        "noc/traffic_bottleneck",
+        || (),
+        |()| t.bottleneck_time(&net),
+    );
 }
 
-fn bench_intracore(c: &mut Criterion) {
+fn bench_intracore() {
     let wl = PartWorkload {
         h: 28,
         w: 28,
@@ -67,21 +123,17 @@ fn bench_intracore(c: &mut Criterion) {
         in_bytes: 30 * 30 * 128,
         vector_ops: 28 * 28 * 64,
     };
-    c.bench_function("intracore/search_uncached", |b| {
-        b.iter_batched(
-            || IntraCoreExplorer::new(CoreParams::from_arch(1024, 2 << 20)),
-            |e| std::hint::black_box(e.explore(&wl)),
-            BatchSize::SmallInput,
-        )
-    });
+    time_min(
+        "intracore/search_uncached",
+        || IntraCoreExplorer::new(CoreParams::from_arch(1024, 2 << 20)),
+        |e| e.explore(&wl),
+    );
     let e = IntraCoreExplorer::new(CoreParams::from_arch(1024, 2 << 20));
     e.explore(&wl);
-    c.bench_function("intracore/search_cached", |b| {
-        b.iter(|| std::hint::black_box(e.explore(&wl)))
-    });
+    time_min("intracore/search_cached", || (), |()| e.explore(&wl));
 }
 
-fn bench_group_eval(c: &mut Criterion) {
+fn bench_group_eval() {
     let arch = presets::g_arch_72();
     let dnn = zoo::tiny_resnet();
     let ev = Evaluator::new(&arch);
@@ -92,29 +144,31 @@ fn bench_group_eval(c: &mut Criterion) {
     };
     let lms = stripe_lms(&dnn, &arch, &spec);
     let gm = lms.parse(&dnn, &spec, &|_| DramSel::Interleaved);
-    c.bench_function("sim/evaluate_group_tiny_resnet", |b| {
-        b.iter(|| std::hint::black_box(ev.evaluate_group(&dnn, &gm, 8).delay_s))
-    });
+    time_min(
+        "sim/evaluate_group_tiny_resnet",
+        || (),
+        |()| ev.evaluate_group(&dnn, &gm, 8).delay_s,
+    );
 }
 
-fn bench_sa(c: &mut Criterion) {
+fn bench_sa() {
     let arch = presets::g_arch_72();
     let dnn = zoo::two_conv_example();
     let ev = Evaluator::new(&arch);
     let engine = MappingEngine::new(&ev);
-    c.bench_function("sa/100_iterations_two_conv", |b| {
-        b.iter(|| {
-            let opts = MappingOptions {
-                sa: SaOptions {
-                    iters: 100,
-                    seed: 1,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            std::hint::black_box(engine.map(&dnn, 2, &opts).report.delay_s)
-        })
-    });
+    let opts = MappingOptions {
+        sa: SaOptions {
+            iters: 100,
+            seed: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    time_min(
+        "sa/100_iterations_two_conv",
+        || (),
+        |()| engine.map(&dnn, 2, &opts).report.delay_s,
+    );
 }
 
 /// Mapping options for the parallel-SA comparison.
@@ -135,10 +189,7 @@ fn sa_cmp_opts(iters: u32, threads: usize) -> MappingOptions {
 /// chain workers have real fan-out). Wall-clock numbers land in
 /// `bench_results/sa_parallel.csv`; the final costs of both
 /// configurations are asserted bit-identical before writing.
-fn bench_sa_parallel(c: &mut Criterion) {
-    if !section_enabled("sa_parallel") {
-        return;
-    }
+fn bench_sa_parallel() {
     let arch = presets::g_arch_72();
     let dnn = zoo::resnet50();
     let ev = Evaluator::new(&arch);
@@ -198,19 +249,13 @@ fn bench_sa_parallel(c: &mut Criterion) {
         t_seq / t_par
     );
 
-    // Criterion sample on a smaller budget for a statistically-sampled
-    // number.
-    let small = sa_iters(150, 1_000);
-    c.bench_function("sa/resnet50_par4", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                engine
-                    .map(&dnn, batch, &sa_cmp_opts(small, 4))
-                    .report
-                    .delay_s,
-            )
-        })
-    });
+    // A sampled timing on a smaller budget.
+    let small = sa_cmp_opts(sa_iters(150, 1_000), 4);
+    time_min(
+        "sa/resnet50_par4",
+        || (),
+        |()| engine.map(&dnn, batch, &small).report.delay_s,
+    );
 }
 
 /// The SA hot loop on GoogLeNet — the perf-trajectory benchmark behind
@@ -222,10 +267,7 @@ fn bench_sa_parallel(c: &mut Criterion) {
 /// the delta-evaluation counters land in `BENCH_sa.json` at the
 /// workspace root plus `bench_results/sa_delta.csv`, together with the
 /// rung-0 bound prune rate on the strided 72-TOPs sweep.
-fn bench_sa_delta(c: &mut Criterion) {
-    if !section_enabled("sa_delta") {
-        return;
-    }
+fn bench_sa_delta() {
     let arch = presets::g_arch_72();
     let dnn = zoo::by_name("gn").expect("googlenet in the zoo").graph;
     let ev = Evaluator::new(&arch);
@@ -342,62 +384,37 @@ fn bench_sa_delta(c: &mut Criterion) {
          (layer records reused {member_reuse_pct:.1}%)"
     );
 
-    // Criterion sample on a smaller budget for a statistically-sampled
-    // number.
-    let small = sa_iters(150, 800);
-    c.bench_function("sa/googlenet_delta", |b| {
-        b.iter(|| std::hint::black_box(engine.map(&dnn, batch, &cfg(small)).report.delay_s))
-    });
+    // A sampled timing on a smaller budget.
+    let small = cfg(sa_iters(150, 800));
+    time_min(
+        "sa/googlenet_delta",
+        || (),
+        |()| engine.map(&dnn, batch, &small).report.delay_s,
+    );
 }
 
-/// Cold vs. warm memoized group evaluation: the same mapping through
-/// the full simulator and through an [`EvalCache`] hit.
-fn bench_eval_cache(c: &mut Criterion) {
-    let arch = presets::g_arch_72();
-    let dnn = zoo::tiny_resnet();
-    let ev = Evaluator::new(&arch);
-    let members: Vec<LayerId> = dnn.compute_ids().collect();
-    let spec = GroupSpec {
-        members,
-        batch_unit: 2,
-    };
-    let lms = stripe_lms(&dnn, &arch, &spec);
-    let gm = lms.parse(&dnn, &spec, &|_| DramSel::Interleaved);
-    c.bench_function("sim/evaluate_group_cache_cold", |b| {
-        b.iter_batched(
-            EvalCache::new,
-            |mut cache| std::hint::black_box(cache.evaluate(&ev, &dnn, &gm, 8).delay_s),
-            BatchSize::SmallInput,
-        )
-    });
-    let mut warm = EvalCache::new();
-    warm.evaluate(&ev, &dnn, &gm, 8);
-    c.bench_function("sim/evaluate_group_cache_warm", |b| {
-        b.iter(|| std::hint::black_box(warm.evaluate(&ev, &dnn, &gm, 8).delay_s))
-    });
-}
-
-fn bench_partition(c: &mut Criterion) {
+fn bench_partition() {
     let arch = presets::g_arch_72();
     let dnn = zoo::resnet50();
-    c.bench_function("partition/resnet50_dp", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                partition_graph(&dnn, &arch, 64, &PartitionOptions::default()).len(),
-            )
-        })
-    });
+    let opts = PartitionOptions::default();
+    time_min(
+        "partition/resnet50_dp",
+        || (),
+        |()| partition_graph(&dnn, &arch, 64, &opts).len(),
+    );
 }
 
-fn bench_cost(c: &mut Criterion) {
+fn bench_cost() {
     let cost = CostModel::default();
     let arch = presets::g_arch_72();
-    c.bench_function("cost/evaluate_arch", |b| {
-        b.iter(|| std::hint::black_box(cost.evaluate(&arch).total()))
-    });
+    time_min(
+        "cost/evaluate_arch",
+        || (),
+        |()| cost.evaluate(&arch).total(),
+    );
 }
 
-fn bench_packetsim(c: &mut Criterion) {
+fn bench_packetsim() {
     use gemini_noc::flowsim::Flow;
     use gemini_noc::packetsim::{simulate_packets, PacketSimConfig};
     let arch = presets::g_arch_72();
@@ -412,12 +429,14 @@ fn bench_packetsim(c: &mut Criterion) {
         });
     }
     let cfg = PacketSimConfig::default();
-    c.bench_function("noc/packetsim_6_flows_8kB", |b| {
-        b.iter(|| std::hint::black_box(simulate_packets(&net, &flows, &cfg).cycles))
-    });
+    time_min(
+        "noc/packetsim_6_flows_8kB",
+        || (),
+        |()| simulate_packets(&net, &flows, &cfg).cycles,
+    );
 }
 
-fn bench_hetero_eval(c: &mut Criterion) {
+fn bench_hetero_eval() {
     // Heterogeneous evaluation must cost about the same as homogeneous
     // (the per-core profile is an O(1) lookup).
     let arch = gemini_arch::ArchConfig::builder()
@@ -450,14 +469,30 @@ fn bench_hetero_eval(c: &mut Criterion) {
     let lms = stripe_lms(&dnn, &arch, &gspec);
     let gm = lms.parse(&dnn, &gspec, &|_| DramSel::Interleaved);
     ev.evaluate_group(&dnn, &gm, 8); // warm the per-class memo caches
-    c.bench_function("sim/evaluate_group_hetero", |b| {
-        b.iter(|| std::hint::black_box(ev.evaluate_group(&dnn, &gm, 8).delay_s))
-    });
+    time_min(
+        "sim/evaluate_group_hetero",
+        || (),
+        |()| ev.evaluate_group(&dnn, &gm, 8).delay_s,
+    );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_routing, bench_traffic, bench_intracore, bench_group_eval, bench_eval_cache, bench_sa, bench_sa_parallel, bench_sa_delta, bench_partition, bench_cost, bench_packetsim, bench_hetero_eval
+fn main() {
+    let sections: [(&str, fn()); 11] = [
+        ("routing", bench_routing),
+        ("traffic", bench_traffic),
+        ("intracore", bench_intracore),
+        ("group_eval", bench_group_eval),
+        ("sa", bench_sa),
+        ("sa_parallel", bench_sa_parallel),
+        ("sa_delta", bench_sa_delta),
+        ("partition", bench_partition),
+        ("cost", bench_cost),
+        ("packetsim", bench_packetsim),
+        ("hetero_eval", bench_hetero_eval),
+    ];
+    for (name, run) in sections {
+        if section_enabled(name) {
+            run();
+        }
+    }
 }
-criterion_main!(benches);

@@ -81,12 +81,11 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Whether a named wall-clock section of the `micro` bench should run.
+/// Whether a named section of the `micro` bench should run.
 ///
 /// `GEMINI_MICRO_SECTIONS` is a comma-separated allowlist (e.g.
 /// `sa_delta` for the CI perf-smoke job); unset or empty runs every
-/// section. Criterion's own name filter cannot gate these sections —
-/// they time whole mapping runs outside `bench_function`.
+/// section. It is the bench's only selector.
 pub fn section_enabled(name: &str) -> bool {
     match std::env::var("GEMINI_MICRO_SECTIONS") {
         Ok(list) if !list.trim().is_empty() => {

@@ -12,9 +12,9 @@
 //!   fidelity policy and the objectives to report;
 //! * [`run_campaign`] fans the cross-product of cells out over the
 //!   scoped worker pool (`crate::pool`), memoizing per-workload
-//!   mapping evaluations across cells (the same never-changes-results
-//!   memoization contract as [`gemini_sim::EvalCache`], lifted to the
-//!   campaign level) and applying the NoC fidelity ladder per cell;
+//!   mapping evaluations across cells (a memo whose hits return
+//!   exactly what a fresh evaluation would, so it never changes
+//!   results) and applying the NoC fidelity ladder per cell;
 //! * every completed cell is appended to an on-disk journal
 //!   (`journal.jsonl`, one JSON line per cell) so an interrupted
 //!   campaign **resumes** by skipping journaled cells bit-identically;

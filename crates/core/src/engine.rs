@@ -14,12 +14,12 @@
 
 use std::collections::BTreeMap;
 
-use gemini_model::{Dnn, LayerId};
-use gemini_sim::{DnnReport, DramSel, Evaluator, GroupMapping};
+use gemini_model::Dnn;
+use gemini_sim::{DnnReport, Evaluator, GroupMapping};
 
-use crate::encoding::{flow_needs, GroupSpec, Lms};
+use crate::encoding::{GroupSpec, Lms};
 use crate::partition::{partition_graph, GraphPartition, PartitionOptions};
-use crate::sa::{optimize, SaOptions, SaStats};
+use crate::sa::{build_of_map, optimize, parse_group, SaOptions, SaStats};
 use crate::stripe::{bound_seed_lms, stripe_lms};
 
 /// Options for a full mapping run.
@@ -86,22 +86,13 @@ impl MappedDnn {
 
 /// Parses all groups with cross-group OF resolution.
 pub fn parse_all(dnn: &Dnn, partition: &GraphPartition, lms: &[Lms]) -> Vec<GroupMapping> {
-    let mut of_map: BTreeMap<LayerId, DramSel> = BTreeMap::new();
-    for (spec, l) in partition.groups.iter().zip(lms) {
-        for (ms, &id) in l.schemes.iter().zip(&spec.members) {
-            if flow_needs(dnn, spec, id).explicit_of {
-                if let Some(sel) = DramSel::from_fd(ms.fd.ofm) {
-                    of_map.insert(id, sel);
-                }
-            }
-        }
-    }
-    let resolver = |p: LayerId| of_map.get(&p).copied().unwrap_or(DramSel::Interleaved);
+    let of_map = build_of_map(dnn, partition, lms);
+    let no_overlay = BTreeMap::new();
     partition
         .groups
         .iter()
         .zip(lms)
-        .map(|(spec, l)| l.parse(dnn, spec, &resolver))
+        .map(|(spec, l)| parse_group(dnn, spec, l, &of_map, &no_overlay))
         .collect()
 }
 

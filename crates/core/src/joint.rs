@@ -14,27 +14,30 @@
 //!
 //! Partition moves re-initialize the affected groups with the stripe
 //! heuristic (their SPM is then re-refined by subsequent SPM moves), and
-//! invalidate exactly the groups whose flow requirements changed. All
-//! group evaluations go through one [`gemini_sim::EvalCache`], so
-//! revisited states (e.g. a split immediately un-done by a merge) are
-//! never re-simulated; the cooling schedule is shared with the SPM
-//! engine ([`crate::sa::temperature`]), including its degenerate-input
-//! guards.
+//! invalidate exactly the groups whose flow requirements changed. Every
+//! group evaluation goes through the group's incremental evaluator
+//! ([`gemini_sim::GroupEvalState`]), which re-simulates only the members
+//! whose assignment differs from the last mapping it evaluated. The
+//! annealer shares the SPM engine's helpers: the OF map, group parsing,
+//! consumer groups, the cost and the cooling schedule
+//! ([`crate::sa::temperature`], including its degenerate-input guards).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use gemini_model::{Dnn, LayerId};
-use gemini_sim::{
-    DeltaStats, DramSel, EvalCache, Evaluator, GroupEvalState, GroupMapping, GroupReport,
-};
+use gemini_sim::{DeltaStats, Evaluator, GroupEvalState, GroupMapping, GroupReport};
 
-use crate::encoding::{flow_needs, GroupSpec, Lms};
+use crate::encoding::{GroupSpec, Lms};
+use crate::engine::parse_all;
 use crate::partition::{GraphPartition, PartitionOptions};
-use crate::sa::{apply_op_traced, temperature, SaOptions, SaStats};
+use crate::sa::{
+    apply_op_traced, build_of_map, consumer_groups, cost_of, parse_group, temperature, SaOptions,
+    SaStats,
+};
 use crate::stripe::stripe_lms;
 
 /// Options for the joint exploration.
@@ -78,23 +81,23 @@ pub struct JointOutcome {
     pub partition_applied: [u32; 4],
 }
 
+#[derive(Clone)]
 struct State {
     partition: GraphPartition,
     lms: Vec<Lms>,
     reports: Vec<GroupReport>,
-    e_total: f64,
-    d_total: f64,
 }
 
 /// Per-group incremental-evaluator states for the joint annealer.
 ///
-/// Entries are a pure evaluation cache: a state may lag behind the
+/// A state follows the mappings its slot is asked about, not the
 /// *accepted* exploration state (rejected trials advance it too), which
 /// is safe because [`GroupEvalState::diff_dirty`] derives the exact
 /// dirty footprint against whatever mapping the state last saw — a
-/// stale entry just re-simulates a few more members. Partition moves
-/// that restructure groups leave structurally mismatched entries
-/// behind; those fall back to a full rebuild on their next use.
+/// state that differs from the accepted one just re-simulates a few
+/// more members. Partition moves that restructure groups leave
+/// structurally mismatched states behind; those fall back to a full
+/// rebuild on their next use.
 struct DeltaPool {
     states: Vec<Option<GroupEvalState>>,
     /// Cold builds of never-seen slots (`GroupEvalState::new` keeps its
@@ -112,14 +115,13 @@ impl DeltaPool {
         }
     }
 
-    /// Evaluates group `g`'s mapping: memo cache first, then the
-    /// incremental evaluator (diff-derived footprint), then a cold
-    /// build for never-seen slots.
+    /// Evaluates group `g`'s mapping: incrementally from the slot's
+    /// state (diff-derived footprint), or by a cold build for a
+    /// never-seen slot.
     fn evaluate(
         &mut self,
         ev: &Evaluator,
         dnn: &Dnn,
-        cache: &mut EvalCache,
         g: usize,
         gm: GroupMapping,
         batch: u32,
@@ -127,12 +129,8 @@ impl DeltaPool {
         if g >= self.states.len() {
             self.states.resize_with(g + 1, || None);
         }
-        let key = match cache.lookup(&gm, batch) {
-            Ok(r) => return r,
-            Err(key) => key,
-        };
         let slot = &mut self.states[g];
-        let r = match slot {
+        match slot {
             Some(st) => {
                 let dirty = st.diff_dirty(&gm);
                 st.advance(ev, dnn, &gm, dirty.as_deref())
@@ -140,14 +138,12 @@ impl DeltaPool {
             None => {
                 self.cold.full_evals += 1;
                 self.cold.member_sims += gm.members.len() as u64;
-                let st = GroupEvalState::new(ev, dnn, gm.clone(), batch);
+                let st = GroupEvalState::new(ev, dnn, gm, batch);
                 let r = st.report().clone();
                 *slot = Some(st);
                 r
             }
-        };
-        cache.insert(key, &gm, batch, r.clone());
-        r
+        }
     }
 
     fn stats(&self) -> DeltaStats {
@@ -161,7 +157,9 @@ impl DeltaPool {
 
 impl State {
     fn cost(&self, opts: &SaOptions) -> f64 {
-        self.e_total.powf(opts.beta) * self.d_total.powf(opts.gamma)
+        let e: f64 = self.reports.iter().map(|r| r.energy.total()).sum();
+        let d: f64 = self.reports.iter().map(|r| r.delay_s).sum();
+        cost_of(e, d, opts)
     }
 }
 
@@ -179,10 +177,6 @@ pub fn optimize_joint(
 ) -> JointOutcome {
     let arch = ev.arch().clone();
     let mut rng = StdRng::seed_from_u64(opts.sa.seed);
-    // One memo cache for the whole run: every SPM move re-evaluates the
-    // moved group's consumers, and partition moves return to earlier
-    // stripe states, so a large share of evaluations are repeats.
-    let mut cache = EvalCache::new();
 
     let lms: Vec<Lms> = init
         .groups
@@ -190,14 +184,16 @@ pub fn optimize_joint(
         .map(|g| stripe_lms(dnn, &arch, g))
         .collect();
     let mut pool = DeltaPool::new(init.groups.len());
+    let reports = parse_all(dnn, &init, &lms)
+        .into_iter()
+        .enumerate()
+        .map(|(g, gm)| pool.evaluate(ev, dnn, g, gm, batch))
+        .collect();
     let mut st = State {
         partition: init,
         lms,
-        reports: Vec::new(),
-        e_total: 0.0,
-        d_total: 0.0,
+        reports,
     };
-    reevaluate_all(dnn, ev, &mut cache, &mut pool, &mut st, batch);
     let mut cost = st.cost(&opts.sa);
 
     let mut stats = SaStats {
@@ -206,12 +202,7 @@ pub fn optimize_joint(
     };
     let mut partition_applied = [0u32; 4];
 
-    let mut best = (
-        st.partition.clone(),
-        st.lms.clone(),
-        st.reports.clone(),
-        cost,
-    );
+    let mut best = (st.clone(), cost);
 
     let max_len = opts
         .partition
@@ -233,17 +224,15 @@ pub fn optimize_joint(
 
         let use_partition_op = rng.gen::<f64>() < opts.partition_op_prob || enabled.is_empty();
         let (trial, op_kind) = if use_partition_op {
-            let Some((s, k)) = partition_move(
-                dnn, ev, &mut cache, &mut pool, &st, batch, max_len, &units, &mut rng,
-            ) else {
+            let Some((s, k)) =
+                partition_move(dnn, ev, &mut pool, &st, batch, max_len, &units, &mut rng)
+            else {
                 stats.failed_ops += 1;
                 continue;
             };
             (s, PartitionOrSpm::Partition(k))
         } else {
-            let Some((s, op)) = spm_move(
-                dnn, ev, &mut cache, &mut pool, &st, batch, &enabled, &mut rng,
-            ) else {
+            let Some((s, op)) = spm_move(dnn, ev, &mut pool, &st, batch, &enabled, &mut rng) else {
                 stats.failed_ops += 1;
                 continue;
             };
@@ -263,26 +252,20 @@ pub fn optimize_joint(
             }
             st = trial;
             cost = new_cost;
-            if cost < best.3 {
-                best = (
-                    st.partition.clone(),
-                    st.lms.clone(),
-                    st.reports.clone(),
-                    cost,
-                );
+            if cost < best.1 {
+                best = (st.clone(), cost);
             }
         }
     }
 
-    stats.final_cost = best.3;
-    stats.cache_hits = cache.hits();
-    stats.cache_misses = cache.misses();
+    let (best, cost) = best;
+    stats.final_cost = cost;
     stats.add_delta(&pool.stats());
     JointOutcome {
-        partition: best.0,
-        lms: best.1,
-        reports: best.2,
-        cost: best.3,
+        partition: best.partition,
+        lms: best.lms,
+        reports: best.reports,
+        cost,
         stats,
         partition_applied,
     }
@@ -294,11 +277,9 @@ enum PartitionOrSpm {
 }
 
 /// Applies one SPM operator to a random group of a cloned state.
-#[allow(clippy::too_many_arguments)] // threads the shared memo cache through the hot path
 fn spm_move(
     dnn: &Dnn,
     ev: &Evaluator,
-    cache: &mut EvalCache,
     pool: &mut DeltaPool,
     st: &State,
     batch: u32,
@@ -313,13 +294,7 @@ fn spm_move(
     let spec = &st.partition.groups[g];
     let mut lms = st.lms[g].clone();
     let trace = apply_op_traced(op, dnn, ev.arch(), spec, &mut lms, rng)?;
-    let mut trial = State {
-        partition: st.partition.clone(),
-        lms: st.lms.clone(),
-        reports: st.reports.clone(),
-        e_total: st.e_total,
-        d_total: st.d_total,
-    };
+    let mut trial = st.clone();
     trial.lms[g] = lms;
 
     // The operator's declared dirty-layer footprint must cover the
@@ -329,10 +304,10 @@ fn spm_move(
     // where the pre- and post-move schemes are both at hand.
     #[cfg(debug_assertions)]
     {
-        let map = of_map(dnn, &trial);
-        let resolver = |p: LayerId| map.get(&p).copied().unwrap_or(DramSel::Interleaved);
-        let before = st.lms[g].parse(dnn, spec, &resolver);
-        let after = trial.lms[g].parse(dnn, spec, &resolver);
+        let of_map = build_of_map(dnn, &trial.partition, &trial.lms);
+        let no_overlay = BTreeMap::new();
+        let before = parse_group(dnn, spec, &st.lms[g], &of_map, &no_overlay);
+        let after = parse_group(dnn, spec, &trial.lms[g], &of_map, &no_overlay);
         for (i, (a, b)) in before.members.iter().zip(&after.members).enumerate() {
             debug_assert!(
                 a == b || trace.dirty.contains(&i),
@@ -346,20 +321,19 @@ fn spm_move(
 
     // SPM moves may change this group's FD (OP5), which redirects its
     // consumers; conservatively re-evaluate the group and its consumers
-    // (a non-OF move leaves the consumers' mappings unchanged, which the
-    // memo cache answers without re-simulation).
+    // (a non-OF move leaves the consumers' mappings unchanged, so their
+    // incremental evaluators find no dirty member to re-simulate).
     let mut affected = vec![g];
-    affected.extend(consumers_of(dnn, &trial.partition, g));
-    reevaluate(dnn, ev, cache, pool, &mut trial, batch, &affected);
+    affected.extend_from_slice(&consumer_groups(dnn, &trial.partition)[g]);
+    reevaluate(dnn, ev, pool, &mut trial, batch, &affected);
     Some((trial, op))
 }
 
 /// Applies one partition-level operator (JP1..JP4) to a cloned state.
-#[allow(clippy::too_many_arguments)] // threads the shared memo cache through the hot path
+#[allow(clippy::too_many_arguments)] // the evaluation context plus the move limits
 fn partition_move(
     dnn: &Dnn,
     ev: &Evaluator,
-    cache: &mut EvalCache,
     pool: &mut DeltaPool,
     st: &State,
     batch: u32,
@@ -373,7 +347,7 @@ fn partition_move(
     }
     let kind = rng.gen_range(0..4usize);
     let mut part = st.partition.clone();
-    let changed: Vec<usize> = match kind {
+    match kind {
         // JP1: move a boundary layer between adjacent groups.
         0 => {
             if n < 2 {
@@ -395,7 +369,6 @@ fn partition_move(
                 let l = part.groups[g + 1].members.remove(0);
                 part.groups[g].members.push(l);
             }
-            vec![g, g + 1]
         }
         // JP2: split a group.
         1 => {
@@ -414,7 +387,6 @@ fn partition_move(
                     batch_unit: bu,
                 },
             );
-            vec![g, g + 1]
         }
         // JP3: merge two adjacent groups.
         2 => {
@@ -427,7 +399,6 @@ fn partition_move(
             }
             let tail = part.groups.remove(g + 1);
             part.groups[g].members.extend(tail.members);
-            vec![g]
         }
         // JP4: re-draw a batch unit.
         _ => {
@@ -438,29 +409,21 @@ fn partition_move(
                 return None;
             }
             part.groups[g].batch_unit = choices[rng.gen_range(0..choices.len())];
-            vec![g]
         }
-    };
+    }
 
     // Re-stripe every group whose membership or flow requirements
     // changed: the changed groups plus any group holding a pred/succ of
-    // a changed layer (their OF explicitness may flip).
-    let mut trial = State {
-        partition: part,
-        lms: st.lms.clone(),
-        reports: st.reports.clone(),
-        e_total: st.e_total,
-        d_total: st.d_total,
-    };
-    // Rebuild the lms vector to the new group count.
-    let mut lms = Vec::with_capacity(trial.partition.groups.len());
-    let mut reports = Vec::with_capacity(trial.partition.groups.len());
-    // Map old groups to new by membership signature where unchanged.
+    // a changed layer (their OF explicitness may flip). First rebuild
+    // the scheme and report vectors to the new group count, mapping old
+    // groups to new by membership signature where unchanged.
+    let mut lms = Vec::with_capacity(part.groups.len());
+    let mut reports = Vec::with_capacity(part.groups.len());
     let mut old_idx: BTreeMap<LayerId, usize> = BTreeMap::new();
     for (i, g) in st.partition.groups.iter().enumerate() {
         old_idx.insert(g.members[0], i);
     }
-    for g in &trial.partition.groups {
+    for g in &part.groups {
         match old_idx.get(&g.members[0]) {
             Some(&i)
                 if st.partition.groups[i].members == g.members
@@ -476,8 +439,11 @@ fn partition_move(
             }
         }
     }
-    trial.lms = lms;
-    trial.reports = reports;
+    let mut trial = State {
+        partition: part,
+        lms,
+        reports,
+    };
 
     // Determine all groups to (re-)evaluate: any group whose scheme we
     // re-striped, plus neighbours touching the changed layers.
@@ -494,7 +460,6 @@ fn partition_move(
             affected.push(gi);
         }
     }
-    let _ = changed;
     // Re-stripe groups whose flow needs changed because a neighbour's
     // membership changed (their schemes may now have wrong FD
     // explicitness), then evaluate everything affected + consumers.
@@ -513,94 +478,38 @@ fn partition_move(
         trial.lms[gi] = stripe_lms(dnn, ev.arch(), &trial.partition.groups[gi]);
         affected.push(gi);
     }
+    let consumers = consumer_groups(dnn, &trial.partition);
     let mut eval_set = affected.clone();
     for &a in &affected {
-        eval_set.extend(consumers_of(dnn, &trial.partition, a));
+        eval_set.extend_from_slice(&consumers[a]);
     }
     eval_set.sort_unstable();
     eval_set.dedup();
-    reevaluate(dnn, ev, cache, pool, &mut trial, batch, &eval_set);
+    reevaluate(dnn, ev, pool, &mut trial, batch, &eval_set);
     Some((trial, kind))
 }
 
-/// Groups consuming outputs of group `g` (set-based dedup; sorted).
-fn consumers_of(dnn: &Dnn, partition: &GraphPartition, g: usize) -> Vec<usize> {
-    let mut group_of: BTreeMap<LayerId, usize> = BTreeMap::new();
-    for (gi, gr) in partition.groups.iter().enumerate() {
-        for &m in &gr.members {
-            group_of.insert(m, gi);
-        }
-    }
-    let mut out = BTreeSet::new();
-    for &m in &partition.groups[g].members {
-        for &s in dnn.succs(m) {
-            if let Some(&cg) = group_of.get(&s) {
-                if cg != g {
-                    out.insert(cg);
-                }
-            }
-        }
-    }
-    out.into_iter().collect()
-}
-
-fn of_map(dnn: &Dnn, st: &State) -> BTreeMap<LayerId, DramSel> {
-    let mut map = BTreeMap::new();
-    for (spec, lms) in st.partition.groups.iter().zip(&st.lms) {
-        for (ms, &id) in lms.schemes.iter().zip(&spec.members) {
-            if flow_needs(dnn, spec, id).explicit_of {
-                if let Some(sel) = DramSel::from_fd(ms.fd.ofm) {
-                    map.insert(id, sel);
-                }
-            }
-        }
-    }
-    map
-}
-
+/// Re-evaluates `groups` of `st` under the OF map of its schemes.
 fn reevaluate(
     dnn: &Dnn,
     ev: &Evaluator,
-    cache: &mut EvalCache,
     pool: &mut DeltaPool,
     st: &mut State,
     batch: u32,
     groups: &[usize],
 ) {
-    let map = of_map(dnn, st);
-    let resolver = |p: LayerId| map.get(&p).copied().unwrap_or(DramSel::Interleaved);
+    let of_map = build_of_map(dnn, &st.partition, &st.lms);
+    let no_overlay = BTreeMap::new();
     for &g in groups {
-        let spec = &st.partition.groups[g];
-        let gm = st.lms[g].parse(dnn, spec, &resolver);
-        st.reports[g] = pool.evaluate(ev, dnn, cache, g, gm, batch);
+        let gm = parse_group(
+            dnn,
+            &st.partition.groups[g],
+            &st.lms[g],
+            &of_map,
+            &no_overlay,
+        );
+        st.reports[g] = pool.evaluate(ev, dnn, g, gm, batch);
     }
-    st.e_total = st.reports.iter().map(|r| r.energy.total()).sum();
-    st.d_total = st.reports.iter().map(|r| r.delay_s).sum();
-}
-
-fn reevaluate_all(
-    dnn: &Dnn,
-    ev: &Evaluator,
-    cache: &mut EvalCache,
-    pool: &mut DeltaPool,
-    st: &mut State,
-    batch: u32,
-) {
-    let map = of_map(dnn, st);
-    let resolver = |p: LayerId| map.get(&p).copied().unwrap_or(DramSel::Interleaved);
-    st.reports = st
-        .partition
-        .groups
-        .iter()
-        .zip(&st.lms)
-        .enumerate()
-        .map(|(g, (spec, lms))| {
-            let gm = lms.parse(dnn, spec, &resolver);
-            pool.evaluate(ev, dnn, cache, g, gm, batch)
-        })
-        .collect();
-    st.e_total = st.reports.iter().map(|r| r.energy.total()).sum();
-    st.d_total = st.reports.iter().map(|r| r.delay_s).sum();
 }
 
 #[cfg(test)]

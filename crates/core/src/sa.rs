@@ -216,12 +216,11 @@ pub struct SaStats {
     pub final_cost: f64,
     /// Annealing chains run (one per layer group).
     pub chains: u32,
-    /// Group evaluations answered from the memo cache. Only the joint
-    /// annealer ([`crate::joint::optimize_joint`]) keeps one;
-    /// [`optimize`] leaves this at 0.
+    /// Always 0: no annealer keeps an evaluation memo cache. Kept so
+    /// existing readers of the field still build; it goes with the
+    /// benchmark-side cleanup in ROADMAP.md ("Least code, same bytes").
     pub cache_hits: u64,
-    /// Memo-cache lookups that missed (joint annealer only; 0 from
-    /// [`optimize`]).
+    /// Always 0, like [`SaStats::cache_hits`], and deleted with it.
     pub cache_misses: u64,
     /// Evaluations served by the incremental evaluator: only the
     /// operator's dirty-layer footprint (plus in-group consumers) was
@@ -708,13 +707,19 @@ fn run_chain(ctx: &ChainCtx<'_>, g: usize) -> ChainResult {
     ChainResult { best_lms, stats }
 }
 
-fn cost_of(e: f64, d: f64, opts: &SaOptions) -> f64 {
+/// The annealing cost `E^beta * D^gamma` of a total energy and delay.
+pub(crate) fn cost_of(e: f64, d: f64, opts: &SaOptions) -> f64 {
     e.powf(opts.beta) * d.powf(opts.gamma)
 }
 
 /// Gathers the OF selections of every layer whose output is explicitly
-/// managed, across all groups.
-fn build_of_map(dnn: &Dnn, partition: &GraphPartition, lms: &[Lms]) -> BTreeMap<LayerId, DramSel> {
+/// managed, across all groups: the one rule for which layers get an
+/// explicit OF entry.
+pub(crate) fn build_of_map(
+    dnn: &Dnn,
+    partition: &GraphPartition,
+    lms: &[Lms],
+) -> BTreeMap<LayerId, DramSel> {
     let mut map = BTreeMap::new();
     for (spec, l) in partition.groups.iter().zip(lms) {
         collect_of(dnn, spec, l, &mut map);
@@ -756,7 +761,9 @@ pub(crate) fn consumer_groups(dnn: &Dnn, partition: &GraphPartition) -> Vec<Vec<
     sets.into_iter().map(|s| s.into_iter().collect()).collect()
 }
 
-fn parse_group(
+/// Parses one group's scheme, resolving each DRAM-sourced predecessor
+/// through `overlay`, then `of_map`, then interleaving.
+pub(crate) fn parse_group(
     dnn: &Dnn,
     spec: &GroupSpec,
     lms: &Lms,
@@ -775,23 +782,11 @@ fn parse_group(
 
 /// Applies one of the five SPM operators (0-based OP1..OP5) to a
 /// group's scheme, for external explorers such as the joint
-/// partition+SPM engine; returns whether a mutation was applied.
-pub fn apply_op_public(
-    op: usize,
-    dnn: &Dnn,
-    arch: &ArchConfig,
-    spec: &GroupSpec,
-    lms: &mut Lms,
-    rng: &mut StdRng,
-) -> bool {
-    apply_op(op, dnn, arch, spec, lms, rng).applied
-}
-
-/// Like [`apply_op_public`], but returns the operator's declared
-/// dirty-layer footprint (the member indices whose assignment changed)
-/// and whether the explicit ofmap FD changed — the inputs an
-/// incremental evaluator ([`gemini_sim::GroupEvalState`]) needs.
-/// Returns `None` when the operator failed to produce a change.
+/// partition+SPM engine. Returns the operator's declared dirty-layer
+/// footprint (the member indices whose assignment changed) and whether
+/// the explicit ofmap FD changed — the inputs an incremental evaluator
+/// ([`gemini_sim::GroupEvalState`]) needs — or `None` when the operator
+/// failed to produce a change.
 pub fn apply_op_traced(
     op: usize,
     dnn: &Dnn,

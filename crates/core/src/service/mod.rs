@@ -56,7 +56,10 @@ pub const SERVE_MEMO_CAP: usize = 256;
 
 /// The serving state's former eval-cache cap, now an alias of
 /// [`SERVE_MEMO_CAP`], so `ServiceState::serving(SERVE_EVAL_CACHE_CAP)`
-/// builds exactly the daemon's state.
+/// builds exactly the daemon's state. No evaluation cache is left in
+/// the program; this alias goes with the benchmark-side cleanup in
+/// ROADMAP.md ("Least code, same bytes"), once the benchmark tracer
+/// uses [`SERVE_MEMO_CAP`].
 #[deprecated(note = "the service keeps no eval cache; use SERVE_MEMO_CAP")]
 pub const SERVE_EVAL_CACHE_CAP: usize = SERVE_MEMO_CAP;
 

@@ -89,11 +89,11 @@ impl DeltaProposal {
 /// report.
 ///
 /// The SA chain loop is `propose` → (Metropolis) → `commit` or drop,
-/// so every applied move is simulated exactly once. Callers that use
-/// the state as a pure evaluation cache rather than as the committed
-/// state (the joint annealer, which fronts it with an
-/// [`crate::EvalCache`] and lets it drift through rejected trials)
-/// propose and commit in one step with [`GroupEvalState::advance`].
+/// so every applied move is simulated exactly once. Callers that keep
+/// the state at the last mapping they asked about rather than at the
+/// committed one (the joint annealer, whose states follow its rejected
+/// trials too) propose and commit in one step with
+/// [`GroupEvalState::advance`].
 #[derive(Debug)]
 pub struct GroupEvalState {
     gm: GroupMapping,
@@ -349,9 +349,9 @@ impl GroupEvalState {
 
     /// Propose-and-commit in one step: moves the state to `gm` whether
     /// or not the caller goes on to accept `gm`. The joint annealer
-    /// evaluates every memo-cache miss this way, since its states only
-    /// need to stay close to the mappings it asks about, not equal to
-    /// the accepted ones.
+    /// evaluates every group this way, since its states only need to
+    /// stay close to the mappings it asks about, not equal to the
+    /// accepted ones.
     pub fn advance(
         &mut self,
         ev: &Evaluator,

@@ -21,7 +21,6 @@
 //! encoding into a [`GroupMapping`] and hands it to the [`Evaluator`].
 
 pub mod bound;
-pub mod cache;
 pub mod decode;
 pub mod delta;
 pub mod energy;
@@ -36,7 +35,6 @@ pub mod workload;
 pub use bound::{
     bound_achieving_mapping, dnn_bound, gemm_shaped, group_bound, DnnBound, GroupBound,
 };
-pub use cache::{EvalCache, MissKey};
 pub use decode::{sweep_positions, transplant_mappings, PositionEval, SweepStats};
 pub use delta::{DeltaProposal, DeltaStats, GroupEvalState};
 pub use energy::{D2dEnergyModel, EnergyBreakdown, EnergyModel};

@@ -63,7 +63,7 @@ pub enum PredSrc {
 }
 
 /// One layer's assignment inside a group mapping.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerAssignment {
     /// The layer.
     pub layer: LayerId,
@@ -80,10 +80,10 @@ pub struct LayerAssignment {
 
 /// A fully-analyzed spatial mapping of one layer group.
 ///
-/// The mapping is plain data with total equality and hashing, so it can
-/// serve directly as the key of the memoized evaluation cache
-/// ([`crate::cache::EvalCache`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The mapping is plain data with total equality, so the incremental
+/// evaluator ([`crate::delta::GroupEvalState::diff_dirty`]) finds the
+/// changed members of a new mapping by comparing assignments.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupMapping {
     /// Member layers in topological order.
     pub members: Vec<LayerAssignment>,

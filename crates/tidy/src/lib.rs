@@ -46,7 +46,6 @@ pub const DETERMINISM_SCOPES: &[&str] = &[
     "crates/noc/src/network.rs",
     "crates/sim/src/evaluate.rs",
     "crates/sim/src/delta.rs",
-    "crates/sim/src/cache.rs",
     "crates/sim/src/bound.rs",
 ];
 

@@ -101,6 +101,6 @@ pub mod prelude {
     pub use gemini_cost::CostModel;
     pub use gemini_model::{Dnn, DnnBuilder, FmapShape, LayerKind};
     pub use gemini_sim::bound::{dnn_bound, group_bound, DnnBound, GroupBound};
-    pub use gemini_sim::{EvalCache, Evaluator};
+    pub use gemini_sim::Evaluator;
     pub use gemini_tangram::{compare_mappings, TangramMapper};
 }

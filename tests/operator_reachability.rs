@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use gemini::core::encoding::{CoreGroup, FlowOfData, GroupSpec, Lms, Ms, Part};
 use gemini::core::partition::{partition_graph, PartitionOptions};
-use gemini::core::sa::apply_op_public;
+use gemini::core::sa::apply_op_traced;
 use gemini::core::stripe::stripe_lms;
 use gemini::prelude::*;
 use gemini_arch::CoreId;
@@ -80,7 +80,7 @@ fn op2_visits_every_permutation_of_a_core_group() {
     let mut seen = std::collections::HashSet::new();
     seen.insert(lms.schemes[0].cg.0.clone());
     for _ in 0..400 {
-        apply_op_public(1, &dnn, &arch, &spec, &mut lms, &mut rng);
+        apply_op_traced(1, &dnn, &arch, &spec, &mut lms, &mut rng);
         seen.insert(lms.schemes[0].cg.0.clone());
     }
     // OP2 may also hit layer 2; count only layer-1 orderings of the
@@ -106,7 +106,7 @@ fn op4_visits_every_core_split() {
     let mut sizes = std::collections::HashSet::new();
     sizes.insert(lms.schemes[0].cg.len());
     for _ in 0..600 {
-        apply_op_public(3, &dnn, &arch, &spec, &mut lms, &mut rng);
+        apply_op_traced(3, &dnn, &arch, &spec, &mut lms, &mut rng);
         sizes.insert(lms.schemes[0].cg.len());
         lms.validate(&dnn, &arch, &spec)
             .expect("OP4 broke the encoding");
@@ -128,7 +128,7 @@ fn op5_visits_every_dram_choice() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut seen = std::collections::HashSet::new();
     for _ in 0..300 {
-        apply_op_public(4, &dnn, &arch, &spec, &mut lms, &mut rng);
+        apply_op_traced(4, &dnn, &arch, &spec, &mut lms, &mut rng);
         seen.insert(lms.schemes[0].fd.wgt);
         lms.validate(&dnn, &arch, &spec)
             .expect("OP5 broke the encoding");
@@ -147,7 +147,7 @@ fn op1_visits_every_valid_part_for_fixed_cg() {
     let mut seen = std::collections::HashSet::new();
     seen.insert(lms.schemes[1].part);
     for _ in 0..400 {
-        apply_op_public(0, &dnn, &arch, &spec, &mut lms, &mut rng);
+        apply_op_traced(0, &dnn, &arch, &spec, &mut lms, &mut rng);
         seen.insert(lms.schemes[1].part);
         lms.validate(&dnn, &arch, &spec)
             .expect("OP1 broke the encoding");
@@ -172,7 +172,7 @@ fn random_operator_sequences_preserve_validity_on_real_models() {
         let mut lms = stripe_lms(&dnn, &arch, spec);
         for step in 0..300 {
             let op = step % 5;
-            apply_op_public(op, &dnn, &arch, spec, &mut lms, &mut rng);
+            apply_op_traced(op, &dnn, &arch, spec, &mut lms, &mut rng);
             lms.validate(&dnn, &arch, spec).unwrap_or_else(|e| {
                 panic!(
                     "group {gi}: OP{} broke invariants at step {step}: {e}",
@@ -209,7 +209,7 @@ fn structural_ops_fail_safely_on_degenerate_groups() {
     let mut rng = StdRng::seed_from_u64(5);
     for op in [1usize, 2, 3] {
         let mut lms = lms0.clone();
-        let applied = apply_op_public(op, &dnn, &arch, &spec, &mut lms, &mut rng);
+        let applied = apply_op_traced(op, &dnn, &arch, &spec, &mut lms, &mut rng).is_some();
         assert!(!applied, "OP{} must fail on a degenerate group", op + 1);
         assert_eq!(lms, lms0, "failed op must not mutate the scheme");
     }

@@ -113,6 +113,40 @@ fn payload_report(v: &Value) -> &str {
         .expect("payload carries a report")
 }
 
+/// Polls `stats` on `conn` until a reply shows an empty queue, reading
+/// the replies from `reader`, a reader over the same connection.
+///
+/// The daemon reads a connection's lines in order and queues a request
+/// before it reads the next line, so `held`, written just before the
+/// first poll, was queued before any poll was answered. With one worker,
+/// a `queue_depth` of 0 then means the worker has taken `held` and is
+/// running it. If `held`'s own answer arrives first, it finished before
+/// the test could rely on it being in flight, and the test fails.
+fn wait_until_dequeued(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, held: &str) {
+    loop {
+        conn.write_all(b"{\"id\":\"poll\",\"verb\":\"stats\"}\n")
+            .unwrap();
+        conn.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("stats reply");
+        let v = parse_json(line.trim_end()).expect("reply parses");
+        assert_ne!(
+            v.get("id").and_then(Value::as_str),
+            Some(held),
+            "`{held}` was answered before a stats poll saw the worker holding it"
+        );
+        let depth = v
+            .get("service")
+            .and_then(|s| s.get("queue_depth"))
+            .and_then(Value::as_num)
+            .expect("stats reply carries queue_depth");
+        if depth == 0.0 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 fn cache_hits(v: &Value) -> f64 {
     v.get("service")
         .unwrap()
@@ -214,22 +248,22 @@ fn warm_daemon_reports_strictly_more_cache_hits() {
 fn tiny_queue_answers_busy_under_load() {
     let daemon = Daemon::spawn(&["--workers", "1", "--queue", "1"]);
     let mut conn = TcpStream::connect(&daemon.addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
     // A slow request to occupy the single worker...
     conn.write_all(
         b"{\"id\":\"slow\",\"verb\":\"map\",\"model\":\"two-conv\",\"batch\":4,\"iters\":4000,\"threads\":1}\n",
     )
     .unwrap();
     conn.flush().unwrap();
-    // ...give the worker a moment to dequeue it, then fill the queue's
-    // single slot and push one more.
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    // ...wait until the worker holds it, then fill the queue's single
+    // slot and push one more.
+    wait_until_dequeued(&mut conn, &mut reader, "slow");
     conn.write_all(
         b"{\"id\":\"q\",\"verb\":\"map\",\"model\":\"two-conv\",\"batch\":2,\"iters\":10,\"threads\":1}\n\
           {\"id\":\"refused\",\"verb\":\"map\",\"model\":\"two-conv\",\"batch\":2,\"iters\":10,\"threads\":1}\n",
     )
     .unwrap();
     conn.flush().unwrap();
-    let reader = BufReader::new(conn);
     let rs: Vec<Value> = reader
         .lines()
         .take(3)
@@ -258,19 +292,20 @@ fn tiny_queue_answers_busy_under_load() {
     daemon.shutdown();
 }
 
-/// Graceful shutdown finishes in-flight work: a request already queued
-/// when `shutdown` arrives is still answered `ok` before the daemon
-/// exits.
+/// Graceful shutdown finishes in-flight work: a request the worker is
+/// running when `shutdown` arrives is still answered `ok` before the
+/// daemon exits.
 #[test]
 fn graceful_shutdown_drains_in_flight_work() {
     let daemon = Daemon::spawn(&["--workers", "1"]);
     let mut conn = TcpStream::connect(&daemon.addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
     conn.write_all(
         b"{\"id\":\"inflight\",\"verb\":\"map\",\"model\":\"two-conv\",\"batch\":4,\"iters\":3000,\"threads\":1}\n",
     )
     .unwrap();
     conn.flush().unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    wait_until_dequeued(&mut conn, &mut reader, "inflight");
 
     // Shutdown arrives on a second connection while the map is running.
     let mut bye = TcpStream::connect(&daemon.addr).unwrap();
@@ -292,7 +327,7 @@ fn graceful_shutdown_drains_in_flight_work() {
 
     // The in-flight map still completes.
     let mut line = String::new();
-    BufReader::new(conn).read_line(&mut line).unwrap();
+    reader.read_line(&mut line).unwrap();
     let resp = parse_json(line.trim_end()).unwrap();
     assert_eq!(resp.get("id").unwrap().as_str(), Some("inflight"));
     assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true), "{resp:?}");
