@@ -51,6 +51,11 @@
 //! seen before (a few percent of proposals on the benchmark workloads),
 //! so memoizing costs more than it saves. Evaluation counters surface
 //! in [`SaStats`].
+//!
+//! The start states are evaluated cold once per structurally distinct
+//! group. A network's repeated blocks partition and stripe alike, so
+//! their groups are twins ([`gemini_sim::GroupMapping::evaluates_like`])
+//! and share the first one's records ([`GroupEvalState::twin`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -235,13 +240,17 @@ pub struct SaStats {
     /// Member-layer simulations skipped by reusing a clean per-layer
     /// stage record.
     pub member_reuses: u64,
+    /// Start states evaluated cold: one per structurally distinct group,
+    /// the others being twins ([`GroupEvalState::twin`]). Not part of
+    /// the `SA evals:` line.
+    pub start_evals: u64,
 }
 
 impl SaStats {
     /// Accumulates the counter fields of `other` (iterations, move and
-    /// operator counts, chains, cache and delta counters). The cost
-    /// fields `init_cost`/`final_cost` are left untouched — they are
-    /// per-run values, not counters.
+    /// operator counts, chains, cache, delta and start-state counters).
+    /// The cost fields `init_cost`/`final_cost` are left untouched —
+    /// they are per-run values, not counters.
     pub fn add_counters(&mut self, other: &SaStats) {
         self.iters += other.iters;
         self.accepted += other.accepted;
@@ -257,6 +266,7 @@ impl SaStats {
         self.full_evals += other.full_evals;
         self.member_sims += other.member_sims;
         self.member_reuses += other.member_reuses;
+        self.start_evals += other.start_evals;
     }
 
     /// Folds a [`gemini_sim::DeltaStats`] into the delta counters.
@@ -456,14 +466,23 @@ pub fn optimize(
     // Frozen snapshot: initial OF selections and per-group evaluations.
     // The evaluations are built as incremental-evaluator states so the
     // chains can fork the member records instead of re-simulating them.
+    // Only structurally distinct groups are evaluated cold; a repeated
+    // block's group is the twin of one built before it.
     let of_map = build_of_map(dnn, partition, &init);
     let no_overlay: BTreeMap<LayerId, DramSel> = BTreeMap::new();
-    let init_states: Vec<GroupEvalState> = (0..n_groups)
-        .map(|g| {
-            let gm = parse_group(dnn, &partition.groups[g], &init[g], &of_map, &no_overlay);
+    let mut init_states: Vec<GroupEvalState> = Vec::with_capacity(n_groups);
+    let mut distinct: Vec<usize> = Vec::new();
+    for (spec, l) in partition.groups.iter().zip(&init) {
+        let gm = parse_group(dnn, spec, l, &of_map, &no_overlay);
+        let twin = distinct
+            .iter()
+            .find_map(|&d| init_states[d].twin(ev, dnn, &gm));
+        let st = twin.unwrap_or_else(|| {
+            distinct.push(init_states.len());
             GroupEvalState::new(ev, dnn, gm, batch)
-        })
-        .collect();
+        });
+        init_states.push(st);
+    }
     let init_reports: Vec<GroupReport> = init_states.iter().map(|s| s.report().clone()).collect();
     let e_init: f64 = init_reports.iter().map(|r| r.energy.total()).sum();
     let d_init: f64 = init_reports.iter().map(|r| r.delay_s).sum();
@@ -472,6 +491,7 @@ pub fn optimize(
     let mut stats = SaStats {
         init_cost,
         chains: n_groups as u32,
+        start_evals: distinct.len() as u64,
         ..Default::default()
     };
 

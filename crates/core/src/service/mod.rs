@@ -475,7 +475,7 @@ impl ServiceState {
         // target would score every candidate NaN.
         if !(p.tops.is_finite() && p.tops > 0.0) {
             return Err(ServiceError::bad_request(format!(
-                "invalid tops {}: must be a finite number > 0",
+                "invalid tops {:?}: must be a finite number > 0",
                 p.tops
             )));
         }
@@ -485,7 +485,7 @@ impl ServiceState {
         let n_candidates = spec.candidates().len();
         if n_candidates == 0 {
             return Err(ServiceError::bad_request(format!(
-                "invalid tops {}: every Table-I grid needs more than {} cores",
+                "invalid tops {:?}: every Table-I grid needs more than {} cores",
                 p.tops,
                 gemini_arch::MAX_CORES
             )));
@@ -861,6 +861,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(e.code, ErrorCode::BadRequest);
             assert!(e.detail.contains("invalid tops"), "{}", e.detail);
+            assert!(e.detail.len() < 80, "echoes a short value: {}", e.detail);
         }
     }
 

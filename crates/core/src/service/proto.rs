@@ -19,7 +19,9 @@
 //! differs between a cold CLI run and a warm daemon.
 //!
 //! Malformed input never panics the daemon: every decode failure maps
-//! to an `ok:false` response with a stable [`ErrorCode`].
+//! to an `ok:false` response with a stable [`ErrorCode`]. A request's
+//! worker counts (`threads`, `sa_threads`) are clamped to the host's
+//! available parallelism as it is decoded.
 
 use crate::campaign::value::{parse_json, Value};
 use std::collections::BTreeMap;
@@ -295,6 +297,27 @@ fn get_u32(
     }
 }
 
+/// Reads an optional worker-count field, clamped to the host's available
+/// parallelism; 0 ("all cores") stays 0. Payloads do not depend on
+/// thread counts, so the clamp moves no bytes, and no request can ask
+/// for more threads than the host runs at once.
+fn get_threads(
+    t: &BTreeMap<String, Value>,
+    key: &str,
+    id: &str,
+    verb: &str,
+) -> Result<Option<usize>, ProtoError> {
+    Ok(get_uint(t, key, id, verb)?.map(|n| match n {
+        // Any host runs one thread. The parallelism query reads cgroup
+        // files on Linux (about 20 us), so 0 and 1 skip it.
+        0 | 1 => n as usize,
+        _ => {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            n.min(cores as u64) as usize
+        }
+    }))
+}
+
 impl Request {
     /// Decodes one request line.
     ///
@@ -346,7 +369,7 @@ impl Request {
                     batch: get_u32(t, "batch", &id, &verb)?.unwrap_or(16),
                     iters: get_u32(t, "iters", &id, &verb)?.unwrap_or(1000),
                     seed: get_uint(t, "seed", &id, &verb)?.unwrap_or(0xC0FFEE),
-                    threads: get_uint(t, "threads", &id, &verb)?.unwrap_or(0) as usize,
+                    threads: get_threads(t, "threads", &id, &verb)?.unwrap_or(0),
                     stats: get_bool(t, "stats", &id, &verb)?.unwrap_or(false),
                 })
             }
@@ -358,8 +381,8 @@ impl Request {
                 seed: get_uint(t, "seed", &id, &verb)?.unwrap_or(0xC0FFEE),
                 fidelity: get_str(t, "fidelity", &id, &verb)?.unwrap_or_else(|| "analytic".into()),
                 rerank_k: get_uint(t, "rerank_k", &id, &verb)?.unwrap_or(8) as usize,
-                threads: get_uint(t, "threads", &id, &verb)?.map(|n| n as usize),
-                sa_threads: get_uint(t, "sa_threads", &id, &verb)?.unwrap_or(0) as usize,
+                threads: get_threads(t, "threads", &id, &verb)?,
+                sa_threads: get_threads(t, "sa_threads", &id, &verb)?.unwrap_or(0),
                 objective: get_str(t, "objective", &id, &verb)?.unwrap_or_else(|| "mc-e-d".into()),
             }),
             "campaign" => {
@@ -369,7 +392,7 @@ impl Request {
                 RequestBody::Campaign(CampaignParams {
                     manifest,
                     resume: get_bool(t, "resume", &id, &verb)?.unwrap_or(false),
-                    threads: get_uint(t, "threads", &id, &verb)?.unwrap_or(0) as usize,
+                    threads: get_threads(t, "threads", &id, &verb)?.unwrap_or(0),
                     out: get_str(t, "out", &id, &verb)?,
                     merge: get_bool(t, "merge", &id, &verb)?.unwrap_or(false),
                     shards: get_uint(t, "shards", &id, &verb)?.map(|n| n as usize),
@@ -498,6 +521,34 @@ mod tests {
         assert_eq!(p.stride, 400);
         assert_eq!(p.fidelity, "rerank");
         assert_eq!(p.threads, None);
+    }
+
+    #[test]
+    fn thread_counts_are_clamped_to_the_host_at_decode() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let decode = |line: &str| Request::from_json(line).unwrap().body;
+        let RequestBody::Map(m) = decode(r#"{"verb":"map","model":"rn-50","threads":1000000}"#)
+        else {
+            panic!("map body");
+        };
+        assert_eq!(m.threads, cores);
+        let RequestBody::Dse(d) =
+            decode(r#"{"verb":"dse","threads":1000000,"sa_threads":1000000}"#)
+        else {
+            panic!("dse body");
+        };
+        assert_eq!((d.threads, d.sa_threads), (Some(cores), cores));
+        let RequestBody::Campaign(c) =
+            decode(r#"{"verb":"campaign","manifest":"m.toml","threads":1000000}"#)
+        else {
+            panic!("campaign body");
+        };
+        assert_eq!(c.threads, cores);
+        // 0 keeps meaning "all cores", and 1 fits any host.
+        let RequestBody::Dse(d) = decode(r#"{"verb":"dse","threads":0,"sa_threads":1}"#) else {
+            panic!("dse body");
+        };
+        assert_eq!((d.threads, d.sa_threads), (Some(0), 1));
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   [`RequestQueue`];
 //! * `workers` threads pop the queue, evaluate through the shared
 //!   [`ServiceState`] and write the response under the connection's
-//!   write lock.
+//!   write lock. A request whose handler panics is answered `internal`
+//!   and counted (`panics` in the `service` section); the worker goes
+//!   on to the next job.
 //!
 //! Overload is explicit: a full queue refuses the request *immediately*
 //! with a `busy` error response instead of buffering it, and a request
@@ -30,13 +32,14 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::proto::{ErrorCode, Request, RequestBody, Response, MAX_LINE_BYTES};
 use super::queue::{PushError, RequestQueue};
-use super::ServiceState;
+use super::{ServiceError, ServiceState};
 use crate::campaign::value::Value;
 
 /// Set by the SIGTERM handler; observed by the accept loop.
@@ -133,6 +136,28 @@ struct Job {
     writer: Arc<Mutex<TcpStream>>,
 }
 
+/// What the reader and worker threads share.
+struct Shared<'a> {
+    state: &'a ServiceState,
+    queue: RequestQueue<Job>,
+    /// Requests whose handler panicked (each answered `internal`).
+    panics: AtomicU64,
+}
+
+impl Shared<'_> {
+    /// The volatile per-response `service` section: the state counters
+    /// plus the instantaneous queue depth and the panic count.
+    fn service_section(&self) -> Value {
+        let mut v = self.state.counters();
+        if let Value::Table(t) = &mut v {
+            t.insert("queue_depth".to_string(), Value::from(self.queue.len()));
+            let panics = self.panics.load(Ordering::Relaxed) as f64;
+            t.insert("panics".to_string(), Value::Num(panics));
+        }
+        v
+    }
+}
+
 /// A bound-but-not-yet-running daemon.
 pub struct Server {
     listener: TcpListener,
@@ -172,7 +197,11 @@ impl Server {
     pub fn run(&self, state: &ServiceState) -> std::io::Result<ServeSummary> {
         install_sigterm_handler();
         let shutdown = AtomicBool::new(false);
-        let queue: RequestQueue<Job> = RequestQueue::new(self.opts.queue_cap);
+        let shared = Shared {
+            state,
+            queue: RequestQueue::new(self.opts.queue_cap),
+            panics: AtomicU64::new(0),
+        };
         let workers = if self.opts.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -183,7 +212,7 @@ impl Server {
         let mut accept_err = None;
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| worker_loop(&queue, state));
+                s.spawn(|| worker_loop(&shared));
             }
             loop {
                 if shutdown.load(Ordering::SeqCst) {
@@ -210,10 +239,10 @@ impl Server {
                             continue;
                         }
                         let writer = Arc::new(Mutex::new(write_half));
-                        let queue = &queue;
+                        let shared = &shared;
                         let shutdown = &shutdown;
                         s.spawn(move || {
-                            reader_loop(stream, writer, queue, state, shutdown);
+                            reader_loop(stream, writer, shared, shutdown);
                         });
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -229,7 +258,7 @@ impl Server {
             }
             // Stop admission; workers drain what is queued and exit,
             // readers notice the flag on their next timeout tick.
-            queue.close();
+            shared.queue.close();
         });
         match accept_err {
             Some(e) => Err(e),
@@ -239,16 +268,6 @@ impl Server {
             }),
         }
     }
-}
-
-/// The volatile per-response `service` section: the state counters plus
-/// the instantaneous queue depth.
-fn service_section(state: &ServiceState, queue: &RequestQueue<Job>) -> Value {
-    let mut v = state.counters();
-    if let Value::Table(t) = &mut v {
-        t.insert("queue_depth".to_string(), Value::from(queue.len()));
-    }
-    v
 }
 
 /// Writes one response line under the connection's write lock. Write
@@ -263,35 +282,53 @@ fn write_line(writer: &Mutex<TcpStream>, resp: &Response, service: Value) {
 }
 
 /// Pops jobs until the queue is closed and drained.
-fn worker_loop(queue: &RequestQueue<Job>, state: &ServiceState) {
-    while let Some(job) = queue.pop() {
-        let Job {
-            req,
-            enqueued,
-            writer,
-        } = job;
-        let verb = req.body.verb();
-        let overdue = req
-            .deadline_ms
-            .map(|dl| enqueued.elapsed() > Duration::from_millis(dl));
-        let resp = if overdue == Some(true) {
+fn worker_loop(shared: &Shared<'_>) {
+    while let Some(job) = shared.queue.pop() {
+        let resp = answer(&job.req, job.enqueued, &shared.panics, |body| {
+            shared.state.handle(body)
+        });
+        write_line(&job.writer, &resp, shared.service_section());
+    }
+}
+
+/// Answers one dequeued request: `expired` when it waited in the queue
+/// past its deadline, else `handle`'s result. A handler that panics is
+/// answered `internal` and counted in `panics`, so the worker survives
+/// it.
+fn answer(
+    req: &Request,
+    enqueued: Instant,
+    panics: &AtomicU64,
+    handle: impl FnOnce(&RequestBody) -> Result<Value, ServiceError>,
+) -> Response {
+    let verb = req.body.verb();
+    let overdue = req
+        .deadline_ms
+        .map(|dl| enqueued.elapsed() > Duration::from_millis(dl));
+    if overdue == Some(true) {
+        return Response::err(
+            req.id.clone(),
+            verb,
+            ErrorCode::Expired,
+            format!(
+                "spent {}ms queued, past deadline_ms {}",
+                enqueued.elapsed().as_millis(),
+                req.deadline_ms.unwrap_or(0)
+            ),
+        );
+    }
+    match catch_unwind(AssertUnwindSafe(|| handle(&req.body))) {
+        Ok(Ok(payload)) => Response::ok(req.id.clone(), verb, payload),
+        Ok(Err(e)) => Response::err(req.id.clone(), verb, e.code, e.detail),
+        Err(_) => {
+            panics.fetch_add(1, Ordering::Relaxed);
             Response::err(
                 req.id.clone(),
                 verb,
-                ErrorCode::Expired,
-                format!(
-                    "spent {}ms queued, past deadline_ms {}",
-                    enqueued.elapsed().as_millis(),
-                    req.deadline_ms.unwrap_or(0)
-                ),
+                ErrorCode::Internal,
+                "request panicked",
             )
-        } else {
-            match state.handle(&req.body) {
-                Ok(payload) => Response::ok(req.id.clone(), verb, payload),
-                Err(e) => Response::err(req.id.clone(), verb, e.code, e.detail),
-            }
-        };
-        write_line(&writer, &resp, service_section(state, queue));
+        }
     }
 }
 
@@ -301,8 +338,7 @@ fn worker_loop(queue: &RequestQueue<Job>, state: &ServiceState) {
 fn reader_loop(
     mut stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
-    queue: &RequestQueue<Job>,
-    state: &ServiceState,
+    shared: &Shared<'_>,
     shutdown: &AtomicBool,
 ) {
     let mut buf: Vec<u8> = Vec::new();
@@ -320,13 +356,13 @@ fn reader_loop(
                     let line = String::from_utf8_lossy(&raw);
                     let line = line.trim_end_matches(['\n', '\r']);
                     if line.len() > MAX_LINE_BYTES {
-                        refuse_oversized(&writer, state, queue, line.len());
+                        refuse_oversized(&writer, shared, line.len());
                         return;
                     }
                     if line.trim().is_empty() {
                         continue;
                     }
-                    if !handle_line(line, &writer, queue, state, shutdown) {
+                    if !handle_line(line, &writer, shared, shutdown) {
                         return;
                     }
                 }
@@ -334,7 +370,7 @@ fn reader_loop(
                     // A partial line already past the cap can never
                     // become a valid request; refuse without waiting
                     // for its newline.
-                    refuse_oversized(&writer, state, queue, buf.len());
+                    refuse_oversized(&writer, shared, buf.len());
                     return;
                 }
             }
@@ -349,19 +385,14 @@ fn reader_loop(
     }
 }
 
-fn refuse_oversized(
-    writer: &Mutex<TcpStream>,
-    state: &ServiceState,
-    queue: &RequestQueue<Job>,
-    got: usize,
-) {
+fn refuse_oversized(writer: &Mutex<TcpStream>, shared: &Shared<'_>, got: usize) {
     let resp = Response::err(
         "",
         "",
         ErrorCode::Oversized,
         format!("request line of {got} bytes exceeds the {MAX_LINE_BYTES}-byte limit"),
     );
-    write_line(writer, &resp, service_section(state, queue));
+    write_line(writer, &resp, shared.service_section());
 }
 
 /// Dispatches one decoded line. Returns `false` when the connection
@@ -369,8 +400,7 @@ fn refuse_oversized(
 fn handle_line(
     line: &str,
     writer: &Arc<Mutex<TcpStream>>,
-    queue: &RequestQueue<Job>,
-    state: &ServiceState,
+    shared: &Shared<'_>,
     shutdown: &AtomicBool,
 ) -> bool {
     let req = match Request::from_json(line) {
@@ -379,7 +409,7 @@ fn handle_line(
             write_line(
                 writer,
                 &Response::from_proto_err(&e),
-                service_section(state, queue),
+                shared.service_section(),
             );
             return true;
         }
@@ -390,11 +420,11 @@ fn handle_line(
         // answer probes, and `shutdown` must get through to drain it.
         RequestBody::Ping | RequestBody::Stats | RequestBody::Shutdown => {
             let is_shutdown = matches!(req.body, RequestBody::Shutdown);
-            let resp = match state.handle(&req.body) {
+            let resp = match shared.state.handle(&req.body) {
                 Ok(payload) => Response::ok(req.id.clone(), verb, payload),
                 Err(e) => Response::err(req.id.clone(), verb, e.code, e.detail),
             };
-            write_line(writer, &resp, service_section(state, queue));
+            write_line(writer, &resp, shared.service_section());
             if is_shutdown {
                 shutdown.store(true, Ordering::SeqCst);
                 return false;
@@ -409,16 +439,16 @@ fn handle_line(
                 enqueued: Instant::now(),
                 writer: Arc::clone(writer),
             };
-            match queue.push(priority, job) {
+            match shared.queue.push(priority, job) {
                 Ok(_) => {}
                 Err(PushError::Busy) => {
                     let resp = Response::err(
                         id,
                         verb,
                         ErrorCode::Busy,
-                        format!("queue full ({} pending); retry later", queue.len()),
+                        format!("queue full ({} pending); retry later", shared.queue.len()),
                     );
-                    write_line(writer, &resp, service_section(state, queue));
+                    write_line(writer, &resp, shared.service_section());
                 }
                 Err(PushError::Closed) => {
                     let resp = Response::err(
@@ -427,7 +457,7 @@ fn handle_line(
                         ErrorCode::ShuttingDown,
                         "daemon is draining; no new work admitted",
                     );
-                    write_line(writer, &resp, service_section(state, queue));
+                    write_line(writer, &resp, shared.service_section());
                 }
             }
             true
@@ -498,6 +528,10 @@ mod tests {
                 .unwrap()
                 .starts_with("T-Map :"));
             assert!(m.get("service").unwrap().get("queue_depth").is_some());
+            assert_eq!(
+                m.get("service").unwrap().get("panics").unwrap().as_num(),
+                Some(0.0)
+            );
 
             // A malformed line answers ok:false without killing the
             // connection or the daemon.
@@ -547,6 +581,32 @@ mod tests {
             assert!(summary.served >= 5);
             assert!(summary.connections >= 4);
         });
+    }
+
+    #[test]
+    fn a_panicking_request_answers_internal_and_the_next_is_served() {
+        let panics = AtomicU64::new(0);
+        let req = |id: &str| Request {
+            id: id.to_string(),
+            priority: 0,
+            deadline_ms: None,
+            body: RequestBody::Ping,
+        };
+        let boom = answer(&req("boom"), Instant::now(), &panics, |_| {
+            panic!("poisoned request")
+        });
+        assert_eq!(boom.id, "boom");
+        assert!(
+            matches!(&boom.outcome, Err((ErrorCode::Internal, d)) if d == "request panicked"),
+            "{:?}",
+            boom.outcome
+        );
+        assert_eq!(panics.load(Ordering::Relaxed), 1);
+        let next = answer(&req("next"), Instant::now(), &panics, |_| {
+            Ok(Value::Bool(true))
+        });
+        assert!(matches!(next.outcome, Ok(Value::Bool(true))));
+        assert_eq!(panics.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -113,6 +113,27 @@ impl Dnn {
         self.layer(id).input_need(pred_pos, pred_shape, off, out)
     }
 
+    /// Whether layer `a` of this graph and layer `b` of `other` pose the
+    /// same work: the same kind (parameters included) and output shape,
+    /// the same number of predecessors and, predecessor by predecessor,
+    /// the same output shape and concat offset. Names are ignored.
+    ///
+    /// Everything an evaluation reads about a layer follows from these:
+    /// weight bytes and vector ops from the kind and output shape, and
+    /// every [`Dnn::input_need`] from the predecessor shapes and offsets.
+    pub fn alike(&self, a: LayerId, other: &Dnn, b: LayerId) -> bool {
+        let (la, lb) = (self.layer(a), other.layer(b));
+        let (pa, pb) = (self.preds(a), other.preds(b));
+        la.kind == lb.kind
+            && la.ofmap == lb.ofmap
+            && pa.len() == pb.len()
+            && pa
+                .iter()
+                .zip(pb)
+                .all(|(&x, &y)| self.layer(x).ofmap == other.layer(y).ofmap)
+            && self.concat_offsets[a.idx()] == other.concat_offsets[b.idx()]
+    }
+
     /// Fewest elements of one sample of predecessor `pred_pos` that any
     /// split of layer `id`'s output must read (see
     /// [`Layer::min_input_elems`]).

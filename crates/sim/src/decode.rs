@@ -115,21 +115,6 @@ fn rescale_range(r: Range1, from: u32, to: u32) -> Range1 {
     }
 }
 
-/// Whether layer `id` (and everything its member record reads from the
-/// graph) is byte-identical between the two position graphs: same kind
-/// (including matmul reduction lengths), same output shape, same
-/// predecessor shapes.
-fn layer_stable(a: &Dnn, b: &Dnn, id: LayerId) -> bool {
-    let la = a.layer(id);
-    let lb = b.layer(id);
-    la.kind == lb.kind
-        && la.ofmap == lb.ofmap
-        && a.preds(id)
-            .iter()
-            .zip(b.preds(id))
-            .all(|(&pa, &pb)| a.layer(pa).ofmap == b.layer(pb).ofmap)
-}
-
 /// Evaluates a decode workload at every listed position, reusing
 /// reference member records wherever the reshape left them untouched.
 ///
@@ -160,7 +145,7 @@ pub fn sweep_positions(
             (0..gm.members.len())
                 .map(|mi| {
                     stats.members_built += 1;
-                    ev.member_record(ref_dnn, gm, mi)
+                    ev.member_record(ref_dnn, gm, mi, None)
                 })
                 .collect()
         })
@@ -222,12 +207,12 @@ pub fn sweep_positions(
                                 .iter()
                                 .filter_map(|&p| in_group(p))
                                 .all(|pmi| !moved[pmi]);
-                            if !moved[mi] && peers_clean && layer_stable(ref_dnn, dnn, m.layer) {
+                            if !moved[mi] && peers_clean && ref_dnn.alike(m.layer, dnn, m.layer) {
                                 stats.members_reused += 1;
                                 recs[mi].clone()
                             } else {
                                 stats.members_built += 1;
-                                ev.member_record(dnn, gm, mi)
+                                ev.member_record(dnn, gm, mi, None)
                             }
                         })
                         .collect()

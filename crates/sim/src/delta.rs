@@ -8,6 +8,11 @@
 //! given the operator's **dirty-layer footprint**, re-simulates only
 //! the dirty members (plus their in-group consumers, whose peer flows
 //! read the producer's parts) before re-folding the group aggregate.
+//! A re-simulated member still keeps the halves of its committed record
+//! whose inputs did not change: its intra-core compute while its layer
+//! and parts stand, and its weight load while its weight source stands
+//! too. [`GroupEvalState::twin`] moves a whole state onto a repeated
+//! block's mapping without simulating anything.
 //!
 //! Bit-identity is structural, not approximate:
 //! [`Evaluator::evaluate_group`] is itself defined as "build all
@@ -124,7 +129,7 @@ impl GroupEvalState {
     /// Builds the state for a mapping with a full (cold) evaluation.
     pub fn new(ev: &Evaluator, dnn: &Dnn, gm: GroupMapping, batch: u32) -> Self {
         let records: Vec<MemberRecord> = (0..gm.members.len())
-            .map(|mi| ev.member_record(dnn, &gm, mi))
+            .map(|mi| ev.member_record(dnn, &gm, mi, None))
             .collect();
         let depth = gm.depth(dnn);
         let refs: Vec<&MemberRecord> = records.iter().collect();
@@ -155,6 +160,40 @@ impl GroupEvalState {
             report: self.report.clone(),
             stats: DeltaStats::default(),
         }
+    }
+
+    /// This state's evaluation, moved to a twin mapping: `Some` when
+    /// `gm` evaluates like the committed mapping
+    /// ([`GroupMapping::evaluates_like`]) at the same depth, with `gm`
+    /// committed over this state's records and report and with fresh
+    /// counters; `None` otherwise.
+    ///
+    /// A network's repeated blocks (a transformer's identical layers)
+    /// partition and stripe alike, so one cold evaluation serves every
+    /// copy. Debug builds assert the result bit-identical to a cold
+    /// [`Evaluator::evaluate_group`] of `gm`, like [`Self::propose`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if the twin's report diverges from the cold
+    /// evaluation.
+    pub fn twin(&self, ev: &Evaluator, dnn: &Dnn, gm: &GroupMapping) -> Option<Self> {
+        if !self.gm.evaluates_like(dnn, gm) || gm.depth(dnn) != self.depth {
+            return None;
+        }
+        debug_assert!(
+            self.report
+                .bit_identical(&ev.evaluate_group(dnn, gm, self.batch)),
+            "twin evaluation diverged from the cold evaluation"
+        );
+        Some(Self {
+            gm: gm.clone(),
+            batch: self.batch,
+            depth: self.depth,
+            records: self.records.clone(),
+            report: self.report.clone(),
+            stats: DeltaStats::default(),
+        })
     }
 
     /// The committed mapping.
@@ -193,7 +232,10 @@ impl GroupEvalState {
 
     /// Evaluates `gm` incrementally: members in `dirty` (plus their
     /// in-group consumers) are re-simulated, every other member reuses
-    /// its committed record, and the group aggregate is re-folded.
+    /// its committed record, and the group aggregate is re-folded. While
+    /// the member count is unchanged, a re-simulated member keeps the
+    /// compute and weight-load halves of its committed record whose
+    /// inputs are unchanged, on the full path too.
     ///
     /// `dirty` is the caller's declared footprint *relative to the
     /// committed mapping* — for the SA operators this is the per-op
@@ -247,9 +289,13 @@ impl GroupEvalState {
             }
             _ => None,
         };
+        // What a re-simulated member may keep (`Evaluator::member_record`
+        // checks which halves).
+        let committed =
+            |mi: usize| (gm.members.len() == n).then(|| (&self.gm.members[mi], &self.records[mi]));
         let Some(is_dirty) = closure else {
             let records: Vec<MemberRecord> = (0..gm.members.len())
-                .map(|mi| ev.member_record(dnn, gm, mi))
+                .map(|mi| ev.member_record(dnn, gm, mi, committed(mi)))
                 .collect();
             let refs: Vec<&MemberRecord> = records.iter().collect();
             let report = ev.fold_group(gm, self.batch, depth, &refs);
@@ -276,7 +322,7 @@ impl GroupEvalState {
 
         let fresh: Vec<(usize, MemberRecord)> = (0..n)
             .filter(|&i| is_dirty[i])
-            .map(|i| (i, ev.member_record(dnn, gm, i)))
+            .map(|i| (i, ev.member_record(dnn, gm, i, committed(i))))
             .collect();
         let view: Vec<&MemberRecord> = {
             let mut view: Vec<&MemberRecord> = self.records.iter().collect();

@@ -10,7 +10,7 @@ use gemini_model::{Dnn, Region};
 use gemini_noc::{LinkId, Network, TrafficMap, TreeScratch};
 
 use crate::energy::{D2dEnergyModel, EnergyBreakdown, EnergyModel};
-use crate::mapping::{DramSel, GroupMapping, PredSrc};
+use crate::mapping::{DramSel, GroupMapping, LayerAssignment, PredSrc};
 use crate::profile::CoreProfile;
 use crate::workload::part_workload;
 
@@ -230,28 +230,48 @@ impl EvalOptions {
 /// `parts` of its in-group producers (peer flows), the group's
 /// `batch_unit`, and the immutable DNN/architecture — which is what
 /// makes the per-operator dirty footprints in `gemini-core` sufficient
-/// invalidation.
+/// invalidation. Its compute half reads only the layer, the parts and
+/// whether a weight source exists, and its weight-load half only the
+/// layer, the parts and the weight source, so a re-simulated member
+/// keeps each half while those are unchanged.
 #[derive(Debug, Clone)]
 pub struct MemberRecord {
-    /// `(core index, cycles)` per non-empty part, in part order.
-    pub(crate) core_cycles: Vec<(usize, u64)>,
-    /// GLB access energy of this member's parts (pJ).
-    pub(crate) glb_energy_pj: f64,
-    /// MAC count over the member's parts.
-    pub(crate) macs: u64,
-    /// Vector-op count over the member's parts.
-    pub(crate) vector_ops: u64,
-    /// `(core index, working-set bytes)` per non-empty part.
-    pub(crate) working_set: Vec<(usize, u64)>,
+    /// What the member's parts cost on their cores.
+    pub(crate) compute: ComputeHalf,
     /// Steady-state traffic of this member's ifmap reads (peer + DRAM)
     /// and ofmap writes, one stage.
     pub(crate) traffic: TrafficMap,
     /// Steady-state bytes served by each DRAM for this member.
     pub(crate) dram_bytes: Vec<f64>,
-    /// One-time weight-load traffic of this member.
-    pub(crate) load_traffic: TrafficMap,
-    /// One-time weight-load bytes per DRAM.
-    pub(crate) load_dram: Vec<f64>,
+    /// One-time weight loading of this member.
+    pub(crate) load: LoadHalf,
+}
+
+/// The compute half of a [`MemberRecord`]: the intra-core engine's
+/// results per part. It reads the member's layer, its parts and whether
+/// it has a weight source (a resident weight slice joins the working
+/// set).
+#[derive(Debug, Clone)]
+pub(crate) struct ComputeHalf {
+    /// `(core index, cycles)` per non-empty part, in part order.
+    core_cycles: Vec<(usize, u64)>,
+    /// GLB access energy of this member's parts (pJ).
+    glb_energy_pj: f64,
+    /// MAC count over the member's parts.
+    macs: u64,
+    /// Vector-op count over the member's parts.
+    vector_ops: u64,
+    /// `(core index, working-set bytes)` per non-empty part.
+    working_set: Vec<(usize, u64)>,
+}
+
+/// The weight-load half of a [`MemberRecord`]: one-time traffic and
+/// per-DRAM bytes. It reads the member's layer, its parts and its
+/// weight source.
+#[derive(Debug, Clone)]
+pub(crate) struct LoadHalf {
+    traffic: TrafficMap,
+    dram: Vec<f64>,
 }
 
 /// The performance/energy evaluator for one architecture.
@@ -381,7 +401,7 @@ impl Evaluator {
     /// un-validated mappings degrade instead of panicking.
     pub fn evaluate_group(&self, dnn: &Dnn, gm: &GroupMapping, batch: u32) -> GroupReport {
         let records: Vec<MemberRecord> = (0..gm.members.len())
-            .map(|mi| self.member_record(dnn, gm, mi))
+            .map(|mi| self.member_record(dnn, gm, mi, None))
             .collect();
         let refs: Vec<&MemberRecord> = records.iter().collect();
         self.fold_group(gm, batch, gm.depth(dnn), &refs)
@@ -389,65 +409,42 @@ impl Evaluator {
 
     /// Builds the decomposed stage record of member `mi` (see
     /// [`MemberRecord`] for the exact dependency footprint).
-    pub(crate) fn member_record(&self, dnn: &Dnn, gm: &GroupMapping, mi: usize) -> MemberRecord {
+    ///
+    /// `committed` is the member's committed assignment and record, when
+    /// the caller holds one. Its compute half is kept when the layer, the
+    /// parts and whether a weight source exists are unchanged, and its
+    /// weight-load half when the layer, the parts and the weight source
+    /// are; each kept half is what this code would compute from the same
+    /// inputs, so the record is bit-identical to a cold build. The steady
+    /// flows are always rebuilt.
+    pub(crate) fn member_record(
+        &self,
+        dnn: &Dnn,
+        gm: &GroupMapping,
+        mi: usize,
+        committed: Option<(&LayerAssignment, &MemberRecord)>,
+    ) -> MemberRecord {
         let d = self.arch.dram_count() as usize;
         let m = &gm.members[mi];
-        let mut rec = MemberRecord {
-            core_cycles: Vec::with_capacity(m.parts.len()),
-            glb_energy_pj: 0.0,
-            macs: 0,
-            vector_ops: 0,
-            working_set: Vec::with_capacity(m.parts.len()),
-            traffic: TrafficMap::new(&self.net),
-            dram_bytes: vec![0.0f64; d],
-            load_traffic: TrafficMap::new(&self.net),
-            load_dram: vec![0.0f64; d],
-        };
+        let same_parts = committed.filter(|(c, _)| c.layer == m.layer && c.parts == m.parts);
         let mut tree = TreeScratch::default();
 
-        // --- Per-core compute (intra-core engine) -------------------
-        for (core, region) in &m.parts {
-            if region.is_empty() {
-                continue;
-            }
-            let wl = part_workload(dnn, m.layer, region);
-            let r = self.profile.explorer(*core).explore(&wl);
-            rec.core_cycles.push((core.idx(), r.cycles));
-            rec.glb_energy_pj +=
-                r.glb_bytes as f64 * self.energy.glb_pj_per_byte(self.profile.glb_bytes(*core));
-            rec.macs += r.macs;
-            rec.vector_ops += r.vector_ops;
-            // Outputs are held until the consumer stage reads
-            // them; inputs need residency only when the reduction
-            // reuses them across output-channel tiles (vector-only
-            // layers stream).
-            let mut ws = region.bytes();
-            if !wl.is_vector_only() {
-                ws += wl.in_bytes / 2;
-            }
-            if m.wgt_src.is_some() {
-                ws += wl.weight_bytes;
-            }
-            rec.working_set.push((core.idx(), ws));
-        }
+        let compute = match same_parts {
+            Some((c, r)) if c.wgt_src.is_some() == m.wgt_src.is_some() => r.compute.clone(),
+            _ => self.compute_half(dnn, m),
+        };
 
         // --- Steady-state traffic (one stage) ------------------------
+        let mut traffic = TrafficMap::new(&self.net);
+        let mut dram_bytes = vec![0.0f64; d];
         for (pi, src) in m.pred_srcs.iter().enumerate() {
             match src {
                 PredSrc::InGroup { member_idx } => {
                     let producer = &gm.members[*member_idx];
-                    self.add_peer_flows(dnn, gm, mi, pi, producer, &mut rec.traffic, &mut tree);
+                    self.add_peer_flows(dnn, gm, mi, pi, producer, &mut traffic, &mut tree);
                 }
                 PredSrc::Dram(sel) => {
-                    self.add_dram_reads(
-                        dnn,
-                        m,
-                        pi,
-                        *sel,
-                        &mut rec.traffic,
-                        &mut rec.dram_bytes,
-                        &mut tree,
-                    );
+                    self.add_dram_reads(dnn, m, pi, *sel, &mut traffic, &mut dram_bytes, &mut tree);
                 }
             }
         }
@@ -461,24 +458,75 @@ impl Evaluator {
                     *core,
                     region.bytes() as f64,
                     sel,
-                    &mut rec.traffic,
-                    &mut rec.dram_bytes,
+                    &mut traffic,
+                    &mut dram_bytes,
                 );
             }
         }
 
         // --- One-time weight loading ---------------------------------
-        if let Some(sel) = m.wgt_src {
-            self.add_weight_flows(
-                dnn,
-                m,
-                sel,
-                &mut rec.load_traffic,
-                &mut rec.load_dram,
-                &mut tree,
-            );
+        let load = match same_parts {
+            Some((c, r)) if c.wgt_src == m.wgt_src => r.load.clone(),
+            _ => {
+                let mut load = LoadHalf {
+                    traffic: TrafficMap::new(&self.net),
+                    dram: vec![0.0f64; d],
+                };
+                if let Some(sel) = m.wgt_src {
+                    self.add_weight_flows(
+                        dnn,
+                        m,
+                        sel,
+                        &mut load.traffic,
+                        &mut load.dram,
+                        &mut tree,
+                    );
+                }
+                load
+            }
+        };
+        MemberRecord {
+            compute,
+            traffic,
+            dram_bytes,
+            load,
         }
-        rec
+    }
+
+    /// Runs the intra-core engine over a member's non-empty parts.
+    fn compute_half(&self, dnn: &Dnn, m: &LayerAssignment) -> ComputeHalf {
+        let mut half = ComputeHalf {
+            core_cycles: Vec::with_capacity(m.parts.len()),
+            glb_energy_pj: 0.0,
+            macs: 0,
+            vector_ops: 0,
+            working_set: Vec::with_capacity(m.parts.len()),
+        };
+        for (core, region) in &m.parts {
+            if region.is_empty() {
+                continue;
+            }
+            let wl = part_workload(dnn, m.layer, region);
+            let r = self.profile.explorer(*core).explore(&wl);
+            half.core_cycles.push((core.idx(), r.cycles));
+            half.glb_energy_pj +=
+                r.glb_bytes as f64 * self.energy.glb_pj_per_byte(self.profile.glb_bytes(*core));
+            half.macs += r.macs;
+            half.vector_ops += r.vector_ops;
+            // Outputs are held until the consumer stage reads
+            // them; inputs need residency only when the reduction
+            // reuses them across output-channel tiles (vector-only
+            // layers stream).
+            let mut ws = region.bytes();
+            if !wl.is_vector_only() {
+                ws += wl.in_bytes / 2;
+            }
+            if m.wgt_src.is_some() {
+                ws += wl.weight_bytes;
+            }
+            half.working_set.push((core.idx(), ws));
+        }
+        half
     }
 
     /// Folds per-member stage records into the group report.
@@ -522,21 +570,22 @@ impl Evaluator {
         let mut load_dram = vec![0.0f64; d];
 
         for rec in records {
-            for &(c, cycles) in &rec.core_cycles {
+            let compute = &rec.compute;
+            for &(c, cycles) in &compute.core_cycles {
                 core_cycles[c] += cycles;
             }
-            glb_energy_pj += rec.glb_energy_pj;
-            macs_total += rec.macs;
-            vector_total += rec.vector_ops;
-            for &(c, ws) in &rec.working_set {
+            glb_energy_pj += compute.glb_energy_pj;
+            macs_total += compute.macs;
+            vector_total += compute.vector_ops;
+            for &(c, ws) in &compute.working_set {
                 core_working_set[c] += ws;
             }
             traffic.merge_scaled(&rec.traffic, 1.0);
             for (a, b) in dram_bytes.iter_mut().zip(&rec.dram_bytes) {
                 *a += b;
             }
-            load_traffic.merge_scaled(&rec.load_traffic, 1.0);
-            for (a, b) in load_dram.iter_mut().zip(&rec.load_dram) {
+            load_traffic.merge_scaled(&rec.load.traffic, 1.0);
+            for (a, b) in load_dram.iter_mut().zip(&rec.load.dram) {
                 *a += b;
             }
         }
@@ -674,7 +723,7 @@ impl Evaluator {
         gm: &GroupMapping,
         consumer_idx: usize,
         pred_pos: usize,
-        producer: &crate::mapping::LayerAssignment,
+        producer: &LayerAssignment,
         traffic: &mut TrafficMap,
         tree: &mut TreeScratch,
     ) {
@@ -719,7 +768,7 @@ impl Evaluator {
     fn add_dram_reads(
         &self,
         dnn: &Dnn,
-        m: &crate::mapping::LayerAssignment,
+        m: &LayerAssignment,
         pred_pos: usize,
         sel: DramSel,
         traffic: &mut TrafficMap,
@@ -748,7 +797,7 @@ impl Evaluator {
     fn add_weight_flows(
         &self,
         dnn: &Dnn,
-        m: &crate::mapping::LayerAssignment,
+        m: &LayerAssignment,
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
@@ -835,7 +884,6 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::LayerAssignment;
     use gemini_arch::presets;
     use gemini_model::zoo;
     use gemini_model::{split_dim, LayerId, Range1};

@@ -161,6 +161,31 @@ impl GroupMapping {
         dnn.depth_within(&self.layer_ids())
     }
 
+    /// Whether `other` poses this mapping's evaluation again: the same
+    /// batch unit and member count and, member by member, the same
+    /// parts, `pred_srcs`, `wgt_src` and `of_dst` over
+    /// [`Dnn::alike`] layers. Only the layer ids may differ, as between
+    /// the repeated blocks of a transformer.
+    ///
+    /// A member record reads only the member's layer through `dnn`, its
+    /// own assignment and its in-group producers' parts, so twin members
+    /// get equal records. The fold reads the records, the batch unit and
+    /// the depth. A mapping parsed from the encoding marks exactly its
+    /// in-group edges `PredSrc::InGroup`, so equal `pred_srcs` give equal
+    /// depths there; [`crate::GroupEvalState::twin`] still compares the
+    /// depths, which keeps it exact for hand-built mappings too.
+    pub fn evaluates_like(&self, dnn: &Dnn, other: &GroupMapping) -> bool {
+        self.batch_unit == other.batch_unit
+            && self.members.len() == other.members.len()
+            && self.members.iter().zip(&other.members).all(|(a, b)| {
+                a.parts == b.parts
+                    && a.pred_srcs == b.pred_srcs
+                    && a.wgt_src == b.wgt_src
+                    && a.of_dst == b.of_dst
+                    && dnn.alike(a.layer, dnn, b.layer)
+            })
+    }
+
     /// Checks structural invariants: the batch unit is at least one
     /// sample, part regions cover each layer's output cube exactly once
     /// (volume check), in-group references point backwards, pred

@@ -122,6 +122,7 @@ fn dse_refuses_a_tops_with_no_grid_within_the_core_limit_promptly() {
         assert!(!ok, "--tops {tops} must fail");
         assert!(err.contains("invalid tops"), "{err}");
         assert!(err.contains("65535 cores"), "{err}");
+        assert!(err.trim_end().len() < 80, "echoes a short value: {err}");
         assert!(!err.contains("panicked"), "{err}");
     }
 }
