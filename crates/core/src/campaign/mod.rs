@@ -541,8 +541,8 @@ fn campaign_dir(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<PathBuf, 
 /// Fans `pending` (cell indices) out over the worker pool, journaling
 /// each completed cell, and returns the evaluated results. SA chains
 /// are pinned to one thread while the cell level is parallel so the
-/// machine is not oversubscribed (results are unaffected: the SA
-/// engine is bit-identical at any thread count).
+/// machine is not oversubscribed, and a lone worker's SA thread count
+/// is resolved here rather than per cell ([`crate::pool::sa_threads_for`]).
 fn evaluate_pending(
     spec: &CampaignSpec,
     axes: &Axes,
@@ -556,7 +556,7 @@ fn evaluate_pending(
         threads
     }
     .clamp(1, pending.len().max(1));
-    let sa_threads = if workers > 1 { 1 } else { 0 };
+    let sa_threads = crate::pool::sa_threads_for(workers);
     let cost = CostModel::default();
     let memo = MappingMemo::new();
     crate::pool::parallel_map_indexed(workers, pending.len(), |j| {

@@ -598,8 +598,8 @@ pub(crate) fn sweep<C: Candidate>(
 
     let workers = opts.threads.clamp(1, n);
     let mut opts_inner = opts.clone();
-    if workers > 1 && opts_inner.mapping.sa.threads == 0 {
-        opts_inner.mapping.sa.threads = 1;
+    if opts_inner.mapping.sa.threads == 0 {
+        opts_inner.mapping.sa.threads = crate::pool::sa_threads_for(workers);
     }
     // Evaluates the candidates `idx` names into their slots.
     let evaluate = |slots: &mut [Option<C::Record>], idx: Vec<usize>| {

@@ -16,7 +16,7 @@
 //!
 //! [`Lms::parse`] turns an encoded scheme into the evaluator-facing
 //! [`GroupMapping`], exactly following the paper's parsing method
-//! (Fig. 3).
+//! (Fig. 3); [`Lms::parse_into`] does the same into a reused mapping.
 
 use serde::{Deserialize, Serialize};
 
@@ -144,7 +144,7 @@ impl FlowOfData {
 }
 
 /// The mapping scheme `MS` of one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Ms {
     /// Partition attribute.
     pub part: Part,
@@ -156,10 +156,48 @@ pub struct Ms {
 
 /// The LP spatial-mapping scheme `LMS` of one layer group: one [`Ms`]
 /// per member, parallel to [`GroupSpec::members`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Lms {
     /// Per-member mapping schemes.
     pub schemes: Vec<Ms>,
+}
+
+// `clone_from` reuses the core-group vectors of the target (a derived
+// `Clone` would reallocate them): the SA chain copies its committed
+// scheme into the same trial buffer on every iteration. It destructures
+// its source so that a new field cannot be left out of the copy.
+impl Clone for Ms {
+    fn clone(&self) -> Self {
+        Self {
+            part: self.part,
+            cg: self.cg.clone(),
+            fd: self.fd,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            part,
+            cg: CoreGroup(cores),
+            fd,
+        } = source;
+        self.part = *part;
+        self.cg.0.clone_from(cores);
+        self.fd = *fd;
+    }
+}
+
+impl Clone for Lms {
+    fn clone(&self) -> Self {
+        Self {
+            schemes: self.schemes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { schemes } = source;
+        self.schemes.clone_from(schemes);
+    }
 }
 
 /// Errors from [`Lms::validate`].
@@ -286,11 +324,41 @@ impl Lms {
         spec: &GroupSpec,
         producer_of: &dyn Fn(LayerId) -> DramSel,
     ) -> GroupMapping {
-        let mut members = Vec::with_capacity(spec.members.len());
-        for (ms, &id) in self.schemes.iter().zip(&spec.members) {
+        let mut gm = GroupMapping {
+            members: Vec::with_capacity(spec.members.len()),
+            batch_unit: spec.batch_unit,
+        };
+        self.parse_into(dnn, spec, producer_of, &mut gm);
+        gm
+    }
+
+    /// [`Lms::parse`] into `out`, reusing its vectors: afterwards `out`
+    /// equals what `parse` returns, whatever it held before.
+    pub fn parse_into(
+        &self,
+        dnn: &Dnn,
+        spec: &GroupSpec,
+        producer_of: &dyn Fn(LayerId) -> DramSel,
+        out: &mut GroupMapping,
+    ) {
+        out.batch_unit = spec.batch_unit;
+        out.members
+            .truncate(self.schemes.len().min(spec.members.len()));
+        for (mi, (ms, &id)) in self.schemes.iter().zip(&spec.members).enumerate() {
+            if mi == out.members.len() {
+                out.members.push(LayerAssignment {
+                    layer: id,
+                    parts: Vec::with_capacity(ms.cg.len()),
+                    pred_srcs: Vec::new(),
+                    wgt_src: None,
+                    of_dst: None,
+                });
+            }
+            let m = &mut out.members[mi];
             let shape = dnn.layer(id).ofmap;
             let p = ms.part;
-            let mut parts = Vec::with_capacity(ms.cg.len());
+            m.layer = id;
+            m.parts.clear();
             // Correspondence rule: nid = h*W*B*K + w*B*K + b*K + k.
             for h in 0..p.h {
                 for w in 0..p.w {
@@ -304,46 +372,34 @@ impl Lms {
                                 split_dim(shape.c, p.k, k),
                                 split_dim(spec.batch_unit, p.b, b),
                             );
-                            parts.push((core, region));
+                            m.parts.push((core, region));
                         }
                     }
                 }
             }
 
-            let pred_srcs = dnn
-                .preds(id)
-                .iter()
-                .map(|&pred| {
-                    if let Some(pos) = spec.position(pred) {
-                        PredSrc::InGroup { member_idx: pos }
-                    } else if dnn.layer(pred).is_input() {
-                        PredSrc::Dram(DramSel::from_fd(ms.fd.ifm).unwrap_or(DramSel::Interleaved))
-                    } else {
-                        PredSrc::Dram(producer_of(pred))
-                    }
-                })
-                .collect();
+            m.pred_srcs.clear();
+            m.pred_srcs.extend(dnn.preds(id).iter().map(|&pred| {
+                if let Some(pos) = spec.position(pred) {
+                    PredSrc::InGroup { member_idx: pos }
+                } else if dnn.layer(pred).is_input() {
+                    PredSrc::Dram(DramSel::from_fd(ms.fd.ifm).unwrap_or(DramSel::Interleaved))
+                } else {
+                    PredSrc::Dram(producer_of(pred))
+                }
+            }));
 
             let needs = flow_needs(dnn, spec, id);
-            members.push(LayerAssignment {
-                layer: id,
-                parts,
-                pred_srcs,
-                wgt_src: if needs.explicit_wgt {
-                    DramSel::from_fd(ms.fd.wgt)
-                } else {
-                    None
-                },
-                of_dst: if needs.explicit_of {
-                    DramSel::from_fd(ms.fd.ofm)
-                } else {
-                    None
-                },
-            });
-        }
-        GroupMapping {
-            members,
-            batch_unit: spec.batch_unit,
+            m.wgt_src = if needs.explicit_wgt {
+                DramSel::from_fd(ms.fd.wgt)
+            } else {
+                None
+            };
+            m.of_dst = if needs.explicit_of {
+                DramSel::from_fd(ms.fd.ofm)
+            } else {
+                None
+            };
         }
     }
 

@@ -33,8 +33,23 @@ pub fn divisors(n: u32) -> Vec<u32> {
 /// and batch unit. Empty when `nc` cannot be factorized within bounds.
 pub fn factorizations(nc: u32, shape: FmapShape, batch_unit: u32) -> Vec<Part> {
     let mut out = Vec::new();
+    find_factorization(nc, shape, batch_unit, |p| {
+        out.push(p);
+        false
+    });
+    out
+}
+
+/// Visits the parts [`factorizations`] lists, in its order, until `stop`
+/// returns `true`; returns whether it did.
+fn find_factorization(
+    nc: u32,
+    shape: FmapShape,
+    batch_unit: u32,
+    mut stop: impl FnMut(Part) -> bool,
+) -> bool {
     if nc == 0 {
-        return out;
+        return false;
     }
     for &h in &divisors(nc) {
         if h > shape.h {
@@ -51,13 +66,13 @@ pub fn factorizations(nc: u32, shape: FmapShape, batch_unit: u32) -> Vec<Part> {
                     continue;
                 }
                 let k = rem_w / b;
-                if k <= shape.c {
-                    out.push(Part { h, w, b, k });
+                if k <= shape.c && stop(Part { h, w, b, k }) {
+                    return true;
                 }
             }
         }
     }
-    out
+    false
 }
 
 /// The stripe-heuristic `Part` for `nc` cores: maximize the H split,
@@ -121,12 +136,10 @@ pub fn stripe_part_capacity(
 /// heuristic when a layer's proportional core share cannot be
 /// factorized within its dimensions.
 pub fn largest_factorable(nc: u32, shape: FmapShape, batch_unit: u32) -> u32 {
-    for m in (1..=nc).rev() {
-        if !factorizations(m, shape, batch_unit).is_empty() {
-            return m;
-        }
-    }
-    1
+    (1..=nc)
+        .rev()
+        .find(|&m| find_factorization(m, shape, batch_unit, |_| true))
+        .unwrap_or(1)
 }
 
 #[cfg(test)]

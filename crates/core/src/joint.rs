@@ -133,7 +133,7 @@ impl DeltaPool {
         match slot {
             Some(st) => {
                 let dirty = st.diff_dirty(&gm);
-                st.advance(ev, dnn, &gm, dirty.as_deref())
+                st.advance(ev, dnn, &gm, dirty.as_deref()).clone()
             }
             None => {
                 self.cold.full_evals += 1;

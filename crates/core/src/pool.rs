@@ -8,6 +8,28 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The host's available parallelism, or 1 when it cannot be queried:
+/// what an automatic (`0`) thread count resolves to. The query reads
+/// cgroup files on Linux (about 20 us), so a caller that fans work out
+/// resolves it once rather than per item.
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The SA thread count that an automatic (`0`) one resolves to for each
+/// of `workers` parallel workers: 1 while several share the host (not
+/// `workers x chains` threads), else the host's parallelism. The DSE
+/// sweep and the campaign runner resolve it once, where they size their
+/// fan-out, so that no SA run queries the host (results are unaffected:
+/// the SA engine is bit-identical at any thread count).
+pub(crate) fn sa_threads_for(workers: usize) -> usize {
+    if workers > 1 {
+        1
+    } else {
+        host_threads()
+    }
+}
+
 /// Evaluates `f(0..n)` on up to `workers` scoped threads and returns
 /// the results in index order.
 ///
@@ -55,6 +77,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workers_get_a_resolved_sa_thread_count() {
+        // A lone worker maps with every core, parallel workers with one
+        // chain thread each; never the automatic 0.
+        assert!(host_threads() >= 1);
+        assert_eq!(sa_threads_for(1), host_threads());
+        assert_eq!(sa_threads_for(2), 1);
+        assert_eq!(sa_threads_for(usize::MAX), 1);
+    }
 
     #[test]
     fn results_are_in_index_order() {

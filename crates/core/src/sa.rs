@@ -65,7 +65,7 @@ use serde::{Deserialize, Serialize};
 
 use gemini_arch::ArchConfig;
 use gemini_model::{Dnn, LayerId};
-use gemini_sim::{DeltaProposal, DramSel, Evaluator, GroupEvalState, GroupReport};
+use gemini_sim::{DramSel, Evaluator, GroupEvalState, GroupMapping, GroupReport};
 
 use crate::encoding::{GroupSpec, Lms};
 use crate::factor::random_part;
@@ -145,9 +145,7 @@ impl SaOptions {
     /// The number of chain workers this configuration resolves to.
     pub fn chain_threads(&self) -> usize {
         if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            crate::pool::host_threads()
         } else {
             self.threads
         }
@@ -554,7 +552,7 @@ pub fn optimize(
         .map(|(mut st, (spec, l))| {
             let gm = parse_group(dnn, spec, l, &of_final, &no_overlay);
             let dirty = st.diff_dirty(&gm);
-            st.propose(ev, dnn, &gm, dirty.as_deref()).report().clone()
+            st.propose(ev, dnn, &gm, dirty.as_deref()).clone()
         })
         .collect();
     let e_final: f64 = reports_final.iter().map(|r| r.energy.total()).sum();
@@ -585,7 +583,9 @@ pub fn optimize(
 /// move changed the group's OF, each consumer group (at its frozen
 /// scheme, under the trial overlay) with the footprint
 /// [`GroupEvalState::diff_dirty`] derives. Accepted proposals are
-/// committed; rejected ones are dropped.
+/// committed; a rejected one is left for the next proposal to replace.
+/// The trial scheme and the mappings are loop buffers, so a steady-state
+/// iteration copies no scheme or mapping into a new allocation.
 fn run_chain(ctx: &ChainCtx<'_>, g: usize) -> ChainResult {
     let ChainCtx {
         dnn,
@@ -649,10 +649,17 @@ fn run_chain(ctx: &ChainCtx<'_>, g: usize) -> ChainResult {
     let mut best_lms = cur.clone();
     let mut best_cost = cost;
 
+    // Loop buffers, refilled by every iteration: the trial scheme, its
+    // mapping and the mapping of each consumer group under a trial OF
+    // overlay.
+    let mut trial = cur.clone();
+    let mut gm = own_state.gm().clone();
+    let mut cons_gms: Vec<GroupMapping> = cons_states.iter().map(|st| st.gm().clone()).collect();
+
     for iter in 0..span {
         stats.iters = iter + 1;
         let op = enabled[rng.gen_range(0..enabled.len())];
-        let mut trial = cur.clone();
+        trial.clone_from(&cur);
         let outcome = apply_op(op, dnn, arch, spec, &mut trial, &mut rng);
         if !outcome.applied {
             stats.failed_ops += 1;
@@ -671,31 +678,32 @@ fn run_chain(ctx: &ChainCtx<'_>, g: usize) -> ChainResult {
         });
         let overlay = trial_overlay.as_ref().unwrap_or(&cur_overlay);
 
-        let gm = parse_group(dnn, spec, &trial, of_map, overlay);
-        let own_prop = own_state.propose(ev, dnn, &gm, Some(outcome.dirty.as_slice()));
+        parse_group_into(dnn, spec, &trial, of_map, overlay, &mut gm);
+        let own_report = own_state.propose(ev, dnn, &gm, Some(outcome.dirty.as_slice()));
         // A consumer's scheme is frozen, so under the trial overlay only
         // members whose predecessor DRAM selector resolved differently
         // change: the diff against the committed consumer mapping is the
         // exact dirty footprint.
-        let cons_props: Option<Vec<DeltaProposal>> = trial_overlay.as_ref().map(|o| {
-            cons.iter()
-                .zip(cons_states.iter_mut())
-                .map(|(&c, st)| {
-                    let cgm = parse_group(dnn, &partition.groups[c], &init[c], of_map, o);
-                    let cdirty = st.diff_dirty(&cgm);
-                    st.propose(ev, dnn, &cgm, cdirty.as_deref())
-                })
-                .collect()
-        });
-        let new_cost = match &cons_props {
-            Some(ps) => view(own_prop.report(), &mut ps.iter().map(DeltaProposal::report)),
+        let new_cost = match &trial_overlay {
+            Some(o) => {
+                for ((&c, st), cgm) in cons.iter().zip(&mut cons_states).zip(&mut cons_gms) {
+                    parse_group_into(dnn, &partition.groups[c], &init[c], of_map, o, cgm);
+                    let cdirty = st.diff_dirty(cgm);
+                    st.propose(ev, dnn, cgm, cdirty.as_deref());
+                }
+                view(
+                    own_report,
+                    &mut cons_states.iter().map(GroupEvalState::proposed),
+                )
+            }
             None => view(
-                own_prop.report(),
+                own_report,
                 &mut cons_states.iter().map(GroupEvalState::report),
             ),
         };
 
-        // Metropolis acceptance on the relative cost change.
+        // Metropolis acceptance on the relative cost change. A rejected
+        // move leaves the states' pending proposals to be replaced.
         let t = temperature(opts, iter, span);
         let delta = (new_cost - cost) / cost.max(f64::MIN_POSITIVE);
         let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / t).exp();
@@ -705,18 +713,18 @@ fn run_chain(ctx: &ChainCtx<'_>, g: usize) -> ChainResult {
             }
             stats.accepted += 1;
             stats.op_applied[op] += 1;
-            cur = trial;
-            own_state.commit(own_prop);
-            if let (Some(ps), Some(o)) = (cons_props, trial_overlay) {
-                for (st, p) in cons_states.iter_mut().zip(ps) {
-                    st.commit(p);
+            std::mem::swap(&mut cur, &mut trial);
+            own_state.commit();
+            if let Some(o) = trial_overlay {
+                for st in &mut cons_states {
+                    st.commit();
                 }
                 cur_overlay = o;
             }
             cost = new_cost;
             if cost < best_cost {
                 best_cost = cost;
-                best_lms = cur.clone();
+                best_lms.clone_from(&cur);
             }
         }
     }
@@ -789,7 +797,24 @@ pub(crate) fn parse_group(
     lms: &Lms,
     of_map: &BTreeMap<LayerId, DramSel>,
     overlay: &BTreeMap<LayerId, DramSel>,
-) -> gemini_sim::GroupMapping {
+) -> GroupMapping {
+    let mut gm = GroupMapping {
+        members: Vec::with_capacity(spec.members.len()),
+        batch_unit: spec.batch_unit,
+    };
+    parse_group_into(dnn, spec, lms, of_map, overlay, &mut gm);
+    gm
+}
+
+/// [`parse_group`] into `out`, reusing its vectors ([`Lms::parse_into`]).
+pub(crate) fn parse_group_into(
+    dnn: &Dnn,
+    spec: &GroupSpec,
+    lms: &Lms,
+    of_map: &BTreeMap<LayerId, DramSel>,
+    overlay: &BTreeMap<LayerId, DramSel>,
+    out: &mut GroupMapping,
+) {
     let resolver = |p: LayerId| {
         overlay
             .get(&p)
@@ -797,7 +822,7 @@ pub(crate) fn parse_group(
             .copied()
             .unwrap_or(DramSel::Interleaved)
     };
-    lms.parse(dnn, spec, &resolver)
+    lms.parse_into(dnn, spec, &resolver, out);
 }
 
 /// Applies one of the five SPM operators (0-based OP1..OP5) to a

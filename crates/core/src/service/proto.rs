@@ -311,10 +311,7 @@ fn get_threads(
         // Any host runs one thread. The parallelism query reads cgroup
         // files on Linux (about 20 us), so 0 and 1 skip it.
         0 | 1 => n as usize,
-        _ => {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            n.min(cores as u64) as usize
-        }
+        _ => n.min(crate::pool::host_threads() as u64) as usize,
     }))
 }
 

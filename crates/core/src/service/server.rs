@@ -101,10 +101,23 @@ fn wait_for_connection(_listener: &TcpListener) {
     std::thread::sleep(ACCEPT_WAIT);
 }
 
+/// The worker threads a daemon asked for `requested` starts on a host
+/// running `host` threads at once: `requested` clamped to `host`, and
+/// `host` for `0` ("all cores"), like the request thread counts
+/// (`proto::get_threads`). Payloads do not depend on the worker count.
+fn worker_count(requested: usize, host: usize) -> usize {
+    if requested == 0 {
+        host
+    } else {
+        requested.min(host)
+    }
+}
+
 /// How the daemon is sized.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Evaluation worker threads (0 = one per core).
+    /// Evaluation worker threads (0 = one per core), at most one per
+    /// core.
     pub workers: usize,
     /// Bounded queue capacity; pushes beyond it answer `busy`.
     pub queue_cap: usize,
@@ -202,11 +215,7 @@ impl Server {
             queue: RequestQueue::new(self.opts.queue_cap),
             panics: AtomicU64::new(0),
         };
-        let workers = if self.opts.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.opts.workers
-        };
+        let workers = worker_count(self.opts.workers, crate::pool::host_threads());
         let connections = AtomicU64::new(0);
 
         let mut accept_err = None;
@@ -485,6 +494,17 @@ mod tests {
             out.push(parse_json(&line.unwrap()).expect("response parses"));
         }
         out
+    }
+
+    #[test]
+    fn worker_count_is_clamped_to_the_host() {
+        // Pure arithmetic: no thread is started for any request.
+        assert_eq!(worker_count(usize::MAX, 2), 2);
+        assert_eq!(worker_count(usize::MAX, 1), 1);
+        assert_eq!(worker_count(0, 6), 6, "0 means all cores");
+        assert_eq!(worker_count(1, 6), 1);
+        assert_eq!(worker_count(4, 6), 4);
+        assert_eq!(worker_count(7, 6), 6);
     }
 
     #[test]

@@ -238,8 +238,8 @@ impl IntraCoreExplorer {
         }
 
         let mut best: Option<IntraCoreResult> = None;
-        for &tk in &tile_candidates(wl.k) {
-            for &tc in &tile_candidates(wl.red_c) {
+        for tk in tile_candidates(wl.k) {
+            for tc in tile_candidates(wl.red_c) {
                 for &order in &self.orders {
                     if let Some(c) = self.evaluate(wl, tk, tc, order) {
                         let better = match &best {
@@ -353,21 +353,14 @@ impl IntraCoreExplorer {
     }
 }
 
-/// Tile-size candidates for a dimension: powers of two below `n`, plus
-/// `n` itself. The doubling is checked, so above `2^31` the powers stop
-/// there instead of wrapping to 0 and repeating forever.
-fn tile_candidates(n: u32) -> Vec<u32> {
-    let mut v = Vec::new();
-    let mut t = 1u32;
-    while t < n {
-        v.push(t);
-        match t.checked_mul(2) {
-            Some(next) => t = next,
-            None => break,
-        }
-    }
-    v.push(n.max(1));
-    v
+/// Tile-size candidates for a dimension, ascending: powers of two below
+/// `n`, plus `n` itself (1 for a zero `n`). The doubling is checked, so
+/// above `2^31` the powers stop there instead of wrapping to 0 and
+/// repeating forever.
+fn tile_candidates(n: u32) -> impl Iterator<Item = u32> {
+    std::iter::successors(Some(1u32), |t| t.checked_mul(2))
+        .take_while(move |&t| t < n)
+        .chain(std::iter::once(n.max(1)))
 }
 
 #[cfg(test)]
@@ -498,19 +491,21 @@ mod tests {
 
     #[test]
     fn tile_candidates_cover_dim() {
-        assert_eq!(tile_candidates(1), vec![1]);
-        assert_eq!(tile_candidates(8), vec![1, 2, 4, 8]);
-        assert_eq!(tile_candidates(6), vec![1, 2, 4, 6]);
+        let all = |n| tile_candidates(n).collect::<Vec<u32>>();
+        assert_eq!(all(0), vec![1]);
+        assert_eq!(all(1), vec![1]);
+        assert_eq!(all(8), vec![1, 2, 4, 8]);
+        assert_eq!(all(6), vec![1, 2, 4, 6]);
     }
 
     #[test]
     fn tile_candidates_terminate_above_2_pow_31() {
-        let all = tile_candidates(u32::MAX);
+        let all: Vec<u32> = tile_candidates(u32::MAX).collect();
         assert_eq!(all.len(), 33);
         assert!(all.windows(2).all(|p| p[0] < p[1]), "{all:?}");
         assert_eq!(all[31], 1 << 31);
         assert_eq!(all.last(), Some(&u32::MAX));
-        let top = tile_candidates(1 << 31);
+        let top: Vec<u32> = tile_candidates(1 << 31).collect();
         assert_eq!(top.len(), 32);
         assert_eq!(top[30], 1 << 30);
         assert_eq!(top.last(), Some(&(1 << 31)));

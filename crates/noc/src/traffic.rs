@@ -31,8 +31,9 @@ pub struct LinkScan {
 ///
 /// The evaluator builds one `TrafficMap` per layer group per sub-batch;
 /// the busiest link determines the network contribution to the stage
-/// time, and per-kind sums feed the energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// time, and per-kind sums feed the energy model. The default map has
+/// no links; [`TrafficMap::reset`] sizes it for a network.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrafficMap {
     bytes: Vec<f64>,
 }
@@ -43,6 +44,14 @@ impl TrafficMap {
         Self {
             bytes: vec![0.0; net.n_links()],
         }
+    }
+
+    /// Zeroes the map and sizes it for `net`: afterwards it equals
+    /// [`TrafficMap::new`] of `net` (every link `+0.0`), and it keeps its
+    /// buffer, so a map reset once per evaluation allocates nothing.
+    pub fn reset(&mut self, net: &Network) {
+        self.bytes.clear();
+        self.bytes.resize(net.n_links(), 0.0);
     }
 
     /// Clears all accumulated traffic.

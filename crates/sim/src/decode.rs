@@ -145,7 +145,7 @@ pub fn sweep_positions(
             (0..gm.members.len())
                 .map(|mi| {
                     stats.members_built += 1;
-                    ev.member_record(ref_dnn, gm, mi, None)
+                    ev.member_record(ref_dnn, gm, mi)
                 })
                 .collect()
         })
@@ -212,7 +212,7 @@ pub fn sweep_positions(
                                 recs[mi].clone()
                             } else {
                                 stats.members_built += 1;
-                                ev.member_record(dnn, gm, mi, None)
+                                ev.member_record(dnn, gm, mi)
                             }
                         })
                         .collect()

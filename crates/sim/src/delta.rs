@@ -18,8 +18,10 @@
 //! [`Evaluator::evaluate_group`] is itself defined as "build all
 //! records, fold in member order" — the delta path folds the *same*
 //! records through the *same* code, so the only way it can diverge is
-//! an under-declared footprint. Debug builds assert exactly that: every
-//! delta-path proposal is compared bit-for-bit
+//! an under-declared footprint. The state refills its own buffers from
+//! proposal to proposal, and every buffer is zeroed before it is
+//! summed into, so reuse moves no bit either. Debug builds assert
+//! exactly that: every proposal, delta or full, is compared bit-for-bit
 //! ([`crate::GroupReport::bit_identical`]) against a cold evaluation.
 //!
 //! The state deliberately tolerates arbitrary drift from its caller:
@@ -31,7 +33,7 @@
 
 use gemini_model::Dnn;
 
-use crate::evaluate::{Evaluator, GroupReport, MemberRecord};
+use crate::evaluate::{EvalScratch, Evaluator, GroupReport, MemberRecord};
 use crate::mapping::{GroupMapping, PredSrc};
 
 /// Counters of one [`GroupEvalState`]'s evaluation activity.
@@ -60,32 +62,40 @@ impl DeltaStats {
     }
 }
 
-/// A not-yet-committed delta evaluation: the folded report plus the
-/// records that were re-simulated for it.
-///
-/// Produced by [`GroupEvalState::propose`]; hand it back to
-/// [`GroupEvalState::commit`] if the annealer accepts the move, drop it
-/// otherwise (the state is untouched either way).
+/// The last proposal of a [`GroupEvalState`], kept in buffers that the
+/// next proposal refills.
 #[derive(Debug)]
-pub struct DeltaProposal {
+struct Proposal {
+    /// Whether a proposal awaits [`GroupEvalState::commit`].
+    pending: bool,
+    /// The mapping the proposal evaluates, which a commit installs.
     gm: GroupMapping,
     depth: u32,
     report: GroupReport,
-    records: ProposalRecords,
+    /// The re-simulated `(member index, record)` pairs, in member order.
+    fresh: Vec<(usize, MemberRecord)>,
+    /// Whether `fresh` holds every member of the proposed mapping (a
+    /// full rebuild, whose member count may differ from the committed
+    /// one).
+    full: bool,
+    /// The dirty closure of the last delta proposal, per member.
+    is_dirty: Vec<bool>,
 }
 
-#[derive(Debug)]
-enum ProposalRecords {
-    /// Every member was re-simulated.
-    Full(Vec<MemberRecord>),
-    /// Only these `(member index, record)` pairs changed.
-    Dirty(Vec<(usize, MemberRecord)>),
-}
-
-impl DeltaProposal {
-    /// The evaluation result of the proposed mapping.
-    pub fn report(&self) -> &GroupReport {
-        &self.report
+impl Proposal {
+    fn empty() -> Self {
+        Self {
+            pending: false,
+            gm: GroupMapping {
+                members: Vec::new(),
+                batch_unit: 0,
+            },
+            depth: 0,
+            report: GroupReport::blank(),
+            fresh: Vec::new(),
+            full: false,
+            is_dirty: Vec::new(),
+        }
     }
 }
 
@@ -93,12 +103,21 @@ impl DeltaProposal {
 /// [`GroupMapping`], its per-member stage records, and the folded
 /// report.
 ///
-/// The SA chain loop is `propose` → (Metropolis) → `commit` or drop,
-/// so every applied move is simulated exactly once. Callers that keep
-/// the state at the last mapping they asked about rather than at the
-/// committed one (the joint annealer, whose states follow its rejected
-/// trials too) propose and commit in one step with
+/// The SA chain loop is `propose` → (Metropolis) → `commit` on
+/// acceptance, so every applied move is simulated exactly once; a
+/// rejected proposal needs no call, the next `propose` replaces it.
+/// Callers that keep the state at the last mapping they asked about
+/// rather than at the committed one (the joint annealer, whose states
+/// follow its rejected trials too) propose and commit in one step with
 /// [`GroupEvalState::advance`].
+///
+/// The state owns every buffer its proposals use: the proposal's
+/// mapping, report and re-simulated records, the records that replaced
+/// or rejected proposals leave behind (refilled by later ones) and the
+/// evaluator's scratch. A steady-state proposal therefore copies no
+/// mapping into a new allocation and builds no map or vector of its
+/// own; a re-simulated member whose record half a committed record
+/// still shares gets a new half (see [`crate::evaluate::MemberRecord`]).
 #[derive(Debug)]
 pub struct GroupEvalState {
     gm: GroupMapping,
@@ -108,39 +127,43 @@ pub struct GroupEvalState {
     depth: u32,
     records: Vec<MemberRecord>,
     report: GroupReport,
+    next: Proposal,
+    spare: Vec<MemberRecord>,
+    scratch: EvalScratch,
     stats: DeltaStats,
-}
-
-/// In-group consumer adjacency of a mapping: `out[i]` lists the member
-/// indices with a `PredSrc::InGroup { member_idx: i }` edge.
-fn in_group_consumers(gm: &GroupMapping) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); gm.members.len()];
-    for (j, m) in gm.members.iter().enumerate() {
-        for src in &m.pred_srcs {
-            if let PredSrc::InGroup { member_idx } = src {
-                out[*member_idx].push(j);
-            }
-        }
-    }
-    out
 }
 
 impl GroupEvalState {
     /// Builds the state for a mapping with a full (cold) evaluation.
     pub fn new(ev: &Evaluator, dnn: &Dnn, gm: GroupMapping, batch: u32) -> Self {
         let records: Vec<MemberRecord> = (0..gm.members.len())
-            .map(|mi| ev.member_record(dnn, &gm, mi, None))
+            .map(|mi| ev.member_record(dnn, &gm, mi))
             .collect();
         let depth = gm.depth(dnn);
         let refs: Vec<&MemberRecord> = records.iter().collect();
         let report = ev.fold_group(&gm, batch, depth, &refs);
         drop(refs);
+        Self::with(gm, batch, depth, records, report)
+    }
+
+    /// A state committed at the given evaluation, with no proposal, no
+    /// spare records and fresh counters.
+    fn with(
+        gm: GroupMapping,
+        batch: u32,
+        depth: u32,
+        records: Vec<MemberRecord>,
+        report: GroupReport,
+    ) -> Self {
         Self {
             gm,
             batch,
             depth,
             records,
             report,
+            next: Proposal::empty(),
+            spare: Vec::new(),
+            scratch: EvalScratch::default(),
             stats: DeltaStats::default(),
         }
     }
@@ -152,14 +175,17 @@ impl GroupEvalState {
     /// of paying a redundant cold evaluation per chain — while keeping
     /// counter merges double-count-free.
     pub fn fork(&self) -> Self {
-        Self {
-            gm: self.gm.clone(),
-            batch: self.batch,
-            depth: self.depth,
-            records: self.records.clone(),
-            report: self.report.clone(),
-            stats: DeltaStats::default(),
-        }
+        self.twin_unchecked(self.gm.clone())
+    }
+
+    fn twin_unchecked(&self, gm: GroupMapping) -> Self {
+        Self::with(
+            gm,
+            self.batch,
+            self.depth,
+            self.records.clone(),
+            self.report.clone(),
+        )
     }
 
     /// This state's evaluation, moved to a twin mapping: `Some` when
@@ -186,14 +212,7 @@ impl GroupEvalState {
                 .bit_identical(&ev.evaluate_group(dnn, gm, self.batch)),
             "twin evaluation diverged from the cold evaluation"
         );
-        Some(Self {
-            gm: gm.clone(),
-            batch: self.batch,
-            depth: self.depth,
-            records: self.records.clone(),
-            report: self.report.clone(),
-            stats: DeltaStats::default(),
-        })
+        Some(self.twin_unchecked(gm.clone()))
     }
 
     /// The committed mapping.
@@ -204,6 +223,17 @@ impl GroupEvalState {
     /// The committed mapping's evaluation.
     pub fn report(&self) -> &GroupReport {
         &self.report
+    }
+
+    /// The evaluation of the last proposal, while it awaits
+    /// [`Self::commit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when no proposal is pending.
+    pub fn proposed(&self) -> &GroupReport {
+        assert!(self.next.pending, "no pending proposal");
+        &self.next.report
     }
 
     /// Evaluation counters accumulated by this state.
@@ -230,12 +260,15 @@ impl GroupEvalState {
         )
     }
 
-    /// Evaluates `gm` incrementally: members in `dirty` (plus their
-    /// in-group consumers) are re-simulated, every other member reuses
-    /// its committed record, and the group aggregate is re-folded. While
-    /// the member count is unchanged, a re-simulated member keeps the
-    /// compute and weight-load halves of its committed record whose
-    /// inputs are unchanged, on the full path too.
+    /// Evaluates `gm` incrementally and keeps the result as the pending
+    /// proposal, replacing any earlier one: members in `dirty` (plus
+    /// their in-group consumers) are re-simulated, every other member
+    /// reuses its committed record, and the group aggregate is
+    /// re-folded. While the member count is unchanged, a re-simulated
+    /// member keeps the compute and weight-load halves of its committed
+    /// record whose inputs are unchanged, on the full path too. Returns
+    /// the proposal's report; [`Self::commit`] installs it with a copy
+    /// of `gm` that the proposal keeps.
     ///
     /// `dirty` is the caller's declared footprint *relative to the
     /// committed mapping* — for the SA operators this is the per-op
@@ -244,117 +277,118 @@ impl GroupEvalState {
     /// count and batch unit are unchanged; otherwise the proposal
     /// silently falls back to a full rebuild.
     ///
-    /// Debug builds assert the result is bit-identical to a cold
-    /// [`Evaluator::evaluate_group`] of `gm`; an under-declared
-    /// footprint therefore fails fast instead of silently skewing the
-    /// search.
+    /// Debug builds assert every proposal, delta or full, bit-identical
+    /// to a cold [`Evaluator::evaluate_group`] of `gm`; an
+    /// under-declared footprint or a stale reused buffer therefore fails
+    /// fast instead of silently skewing the search.
     ///
     /// # Panics
     ///
     /// Panics (debug builds) if a member outside the expanded dirty set
-    /// differs from the committed mapping, or if the delta result
-    /// diverges from the cold evaluation.
+    /// differs from the committed mapping, or if the result diverges
+    /// from the cold evaluation.
     pub fn propose(
         &mut self,
         ev: &Evaluator,
         dnn: &Dnn,
         gm: &GroupMapping,
         dirty: Option<&[usize]>,
-    ) -> DeltaProposal {
+    ) -> &GroupReport {
         let n = self.gm.members.len();
+        let m = gm.members.len();
         let depth = self.depth_of(dnn, gm);
+        let Proposal {
+            pending,
+            gm: next_gm,
+            depth: next_depth,
+            report,
+            fresh,
+            full,
+            is_dirty,
+        } = &mut self.next;
+        // The previous proposal's records become spares.
+        self.spare.extend(fresh.drain(..).map(|(_, r)| r));
 
         // Dirty closure: the declared members plus their in-group
         // consumers (whose peer-flow records read the producer parts).
         // Consumer edges come from the *new* mapping; within a group the
         // operators never change membership, so old and new adjacency
-        // agree. `None` means no incremental path exists: no usable
-        // footprint, a structural change, or a closure that covers the
-        // whole group anyway.
-        let closure: Option<Vec<bool>> = match dirty {
-            Some(declared)
-                if gm.members.len() == n
-                    && gm.batch_unit == self.gm.batch_unit
-                    && !self.records.is_empty() =>
-            {
-                let mut is_dirty = vec![false; n];
-                let adjacency = in_group_consumers(gm);
+        // agree. A full rebuild when no incremental path exists: no
+        // usable footprint, a structural change, or a closure that
+        // covers the whole group anyway.
+        *full = match dirty {
+            Some(declared) if m == n && gm.batch_unit == self.gm.batch_unit && n > 0 => {
+                is_dirty.clear();
+                is_dirty.resize(n, false);
                 for &i in declared {
                     is_dirty[i] = true;
-                    for &j in &adjacency[i] {
+                }
+                // In-group edges point to earlier members, so walking
+                // the members backwards reads each producer's mark
+                // before any consumer mark could be added to it.
+                for (j, mj) in gm.members.iter().enumerate().rev() {
+                    let reads_dirty = mj.pred_srcs.iter().any(|src| {
+                        matches!(src, PredSrc::InGroup { member_idx } if is_dirty[*member_idx])
+                    });
+                    if reads_dirty {
                         is_dirty[j] = true;
                     }
                 }
-                (!is_dirty.iter().all(|&d| d)).then_some(is_dirty)
+                is_dirty.iter().all(|&d| d)
             }
-            _ => None,
+            _ => true,
         };
-        // What a re-simulated member may keep (`Evaluator::member_record`
+
+        #[cfg(debug_assertions)]
+        if !*full {
+            for (i, clean) in is_dirty.iter().map(|d| !d).enumerate() {
+                if clean {
+                    assert!(
+                        gm.members[i] == self.gm.members[i],
+                        "under-declared dirty footprint: member {i} changed but was not declared"
+                    );
+                }
+            }
+        }
+
+        // What a re-simulated member may keep (`Evaluator::fill_record`
         // checks which halves).
-        let committed =
-            |mi: usize| (gm.members.len() == n).then(|| (&self.gm.members[mi], &self.records[mi]));
-        let Some(is_dirty) = closure else {
-            let records: Vec<MemberRecord> = (0..gm.members.len())
-                .map(|mi| ev.member_record(dnn, gm, mi, committed(mi)))
-                .collect();
-            let refs: Vec<&MemberRecord> = records.iter().collect();
-            let report = ev.fold_group(gm, self.batch, depth, &refs);
-            drop(refs);
+        for i in (0..m).filter(|&i| *full || is_dirty[i]) {
+            let mut rec = self.spare.pop().unwrap_or_default();
+            let committed = (m == n).then(|| (&self.gm.members[i], &self.records[i]));
+            ev.fill_record(dnn, gm, i, committed, &mut rec, &mut self.scratch);
+            fresh.push((i, rec));
+        }
+        // The proposal's records in member order: the re-simulated ones
+        // over the committed ones (all re-simulated on a full rebuild).
+        let records = &self.records;
+        let mut resimulated = fresh.iter().peekable();
+        let view = (0..m).map(|i| match resimulated.next_if(|(j, _)| *j == i) {
+            Some((_, r)) => r,
+            None => &records[i],
+        });
+        ev.fold_into(gm, self.batch, depth, view, report, &mut self.scratch);
+
+        if *full {
             self.stats.full_evals += 1;
-            self.stats.member_sims += records.len() as u64;
-            return DeltaProposal {
-                gm: gm.clone(),
-                depth,
-                report,
-                records: ProposalRecords::Full(records),
-            };
-        };
-
-        #[cfg(debug_assertions)]
-        for (i, clean) in is_dirty.iter().map(|d| !d).enumerate() {
-            if clean {
-                assert!(
-                    gm.members[i] == self.gm.members[i],
-                    "under-declared dirty footprint: member {i} changed but was not declared"
-                );
-            }
+        } else {
+            self.stats.delta_hits += 1;
+            self.stats.member_reuses += (n - fresh.len()) as u64;
         }
-
-        let fresh: Vec<(usize, MemberRecord)> = (0..n)
-            .filter(|&i| is_dirty[i])
-            .map(|i| (i, ev.member_record(dnn, gm, i, committed(i))))
-            .collect();
-        let view: Vec<&MemberRecord> = {
-            let mut view: Vec<&MemberRecord> = self.records.iter().collect();
-            for (i, r) in &fresh {
-                view[*i] = r;
-            }
-            view
-        };
-        let report = ev.fold_group(gm, self.batch, depth, &view);
-
-        self.stats.delta_hits += 1;
         self.stats.member_sims += fresh.len() as u64;
-        self.stats.member_reuses += (n - fresh.len()) as u64;
+        next_gm.clone_from(gm);
+        *next_depth = depth;
+        *pending = true;
 
-        #[cfg(debug_assertions)]
-        {
-            let cold = ev.evaluate_group(dnn, gm, self.batch);
-            assert!(
-                report.bit_identical(&cold),
-                "delta evaluation diverged from the cold evaluation \
-                 (dirty footprint {:?} of {} members)",
-                dirty,
-                n
-            );
-        }
-
-        DeltaProposal {
-            gm: gm.clone(),
-            depth,
-            report,
-            records: ProposalRecords::Dirty(fresh),
-        }
+        debug_assert!(
+            report.bit_identical(&ev.evaluate_group(dnn, gm, self.batch)),
+            "{} evaluation diverged from the cold evaluation \
+             (dirty footprint {:?} of {} members)",
+            if *full { "full" } else { "delta" },
+            dirty,
+            n
+        );
+        report
     }
 
     /// The pipeline depth of `gm`: the committed one while the member
@@ -374,23 +408,29 @@ impl GroupEvalState {
         }
     }
 
-    /// Installs an accepted proposal as the committed state and returns
-    /// its report.
-    pub fn commit(&mut self, p: DeltaProposal) -> GroupReport {
-        match p.records {
-            ProposalRecords::Full(records) => {
-                self.records = records;
-            }
-            ProposalRecords::Dirty(fresh) => {
-                for (i, r) in fresh {
-                    self.records[i] = r;
-                }
+    /// Installs the pending proposal, with the mapping it was proposed
+    /// for, as the committed state and returns its report. The replaced
+    /// records become spares.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no proposal is pending.
+    pub fn commit(&mut self) -> &GroupReport {
+        let next = &mut self.next;
+        assert!(next.pending, "commit without a pending proposal");
+        next.pending = false;
+        if next.full {
+            self.spare.append(&mut self.records);
+            self.records.extend(next.fresh.drain(..).map(|(_, r)| r));
+        } else {
+            for (i, r) in next.fresh.drain(..) {
+                self.spare.push(std::mem::replace(&mut self.records[i], r));
             }
         }
-        self.gm = p.gm;
-        self.depth = p.depth;
-        self.report = p.report.clone();
-        p.report
+        std::mem::swap(&mut self.report, &mut next.report);
+        std::mem::swap(&mut self.gm, &mut next.gm);
+        self.depth = next.depth;
+        &self.report
     }
 
     /// Propose-and-commit in one step: moves the state to `gm` whether
@@ -404,9 +444,9 @@ impl GroupEvalState {
         dnn: &Dnn,
         gm: &GroupMapping,
         dirty: Option<&[usize]>,
-    ) -> GroupReport {
-        let p = self.propose(ev, dnn, gm, dirty);
-        self.commit(p)
+    ) -> &GroupReport {
+        self.propose(ev, dnn, gm, dirty);
+        self.commit()
     }
 }
 
@@ -480,16 +520,18 @@ mod tests {
         let mut st = GroupEvalState::new(&ev, &dnn, base, 4);
         // Move the consumer across the chiplet boundary: member 1 dirty.
         let moved = two_layer(&dnn, &arch, &[arch.core_at(4, 1)]);
-        let p = st.propose(&ev, &dnn, &moved, Some(&[1]));
         let cold = ev.evaluate_group(&dnn, &moved, 4);
-        assert!(p.report().bit_identical(&cold));
+        assert!(st
+            .propose(&ev, &dnn, &moved, Some(&[1]))
+            .bit_identical(&cold));
         let s = st.stats();
         assert_eq!(s.delta_hits, 1);
         assert_eq!(s.member_sims, 1);
         assert_eq!(s.member_reuses, 1);
-        let committed = st.commit(p);
+        let committed = st.commit();
         assert!(committed.bit_identical(&cold));
         assert!(st.report().bit_identical(&cold));
+        assert_eq!(st.gm(), &moved, "a commit installs the proposed mapping");
     }
 
     #[test]
@@ -505,9 +547,10 @@ mod tests {
         let mut moved = base;
         let s1 = dnn.layer(LayerId(1)).ofmap;
         moved.members[0].parts = vec![(arch.core_at(3, 3), Region::full(s1, 1))];
-        let p = st.propose(&ev, &dnn, &moved, Some(&[0]));
         let cold = ev.evaluate_group(&dnn, &moved, 4);
-        assert!(p.report().bit_identical(&cold));
+        assert!(st
+            .propose(&ev, &dnn, &moved, Some(&[0]))
+            .bit_identical(&cold));
         // Both members were re-simulated (producer + its consumer); on
         // this two-member group the closure covers the whole group, so
         // it is accounted as a full evaluation, not a delta hit.
@@ -539,8 +582,8 @@ mod tests {
         let ev = Evaluator::new(&arch);
         let base = two_layer(&dnn, &arch, &[arch.core_at(1, 0)]);
         let mut st = GroupEvalState::new(&ev, &dnn, base.clone(), 4);
-        let p = st.propose(&ev, &dnn, &base, None);
-        assert!(p.report().bit_identical(st.report()));
+        st.propose(&ev, &dnn, &base, None);
+        assert!(st.proposed().bit_identical(st.report()));
         assert_eq!(st.stats().full_evals, 1);
         assert_eq!(st.stats().delta_hits, 0);
     }

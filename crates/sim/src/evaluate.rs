@@ -1,6 +1,6 @@
 //! The global evaluator: traffic, timing and energy for group mappings.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -54,6 +54,23 @@ pub struct GroupReport {
 }
 
 impl GroupReport {
+    /// A report of zeros without links, for [`Evaluator::fold_into`] to
+    /// overwrite.
+    pub(crate) fn blank() -> Self {
+        GroupReport {
+            stage_time_s: 0.0,
+            delay_s: 0.0,
+            rounds: 0,
+            depth: 0,
+            weight_load_s: 0.0,
+            energy: EnergyBreakdown::default(),
+            traffic: TrafficMap::default(),
+            dram_bytes: Vec::new(),
+            bottleneck: StageBottleneck::Compute(CoreId(0)),
+            weights_resident: false,
+        }
+    }
+
     /// Whether two reports are bit-identical: every floating-point
     /// field compares equal by bit pattern (`to_bits`), and the
     /// discrete fields compare equal.
@@ -221,7 +238,7 @@ impl EvalOptions {
 /// [`Evaluator::evaluate_group`] is *defined* as building one record per
 /// member and folding them in member order (`Evaluator::fold_group`);
 /// the delta evaluator ([`crate::delta::GroupEvalState`]) reuses clean
-/// records and re-runs `Evaluator::member_record` only for dirty
+/// records and re-runs `Evaluator::fill_record` only for dirty
 /// members, so a delta fold is bit-identical to a cold evaluation by
 /// construction.
 ///
@@ -233,25 +250,26 @@ impl EvalOptions {
 /// invalidation. Its compute half reads only the layer, the parts and
 /// whether a weight source exists, and its weight-load half only the
 /// layer, the parts and the weight source, so a re-simulated member
-/// keeps each half while those are unchanged.
-#[derive(Debug, Clone)]
+/// keeps each half while those are unchanged. The halves sit behind
+/// `Arc`s, so a kept half is shared rather than copied.
+#[derive(Debug, Clone, Default)]
 pub struct MemberRecord {
     /// What the member's parts cost on their cores.
-    pub(crate) compute: ComputeHalf,
+    pub(crate) compute: Arc<ComputeHalf>,
     /// Steady-state traffic of this member's ifmap reads (peer + DRAM)
     /// and ofmap writes, one stage.
     pub(crate) traffic: TrafficMap,
     /// Steady-state bytes served by each DRAM for this member.
     pub(crate) dram_bytes: Vec<f64>,
     /// One-time weight loading of this member.
-    pub(crate) load: LoadHalf,
+    pub(crate) load: Arc<LoadHalf>,
 }
 
 /// The compute half of a [`MemberRecord`]: the intra-core engine's
 /// results per part. It reads the member's layer, its parts and whether
 /// it has a weight source (a resident weight slice joins the working
 /// set).
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct ComputeHalf {
     /// `(core index, cycles)` per non-empty part, in part order.
     core_cycles: Vec<(usize, u64)>,
@@ -268,10 +286,90 @@ pub(crate) struct ComputeHalf {
 /// The weight-load half of a [`MemberRecord`]: one-time traffic and
 /// per-DRAM bytes. It reads the member's layer, its parts and its
 /// weight source.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct LoadHalf {
     traffic: TrafficMap,
     dram: Vec<f64>,
+}
+
+/// The half in `slot`, ready to be refilled: the record's own when no
+/// other record shares it, else a new one.
+fn refill<T: Default>(slot: &mut Arc<T>) -> &mut T {
+    if Arc::get_mut(slot).is_none() {
+        *slot = Arc::default();
+    }
+    Arc::get_mut(slot).expect("a new Arc has one owner")
+}
+
+/// `v` zeroed and sized to `n`, keeping its buffer: equal to
+/// `vec![T::default(); n]` (`+0.0` for floats).
+fn zeroed<T: Clone + Default>(v: &mut Vec<T>, n: usize) -> &mut Vec<T> {
+    v.clear();
+    v.resize(n, T::default());
+    v
+}
+
+/// Buffers the evaluator's hot path refills on every record and fold:
+/// the multicast-tree scratch, the flow-grouping pairs and the fold's
+/// per-core and weight-load accumulators. Whoever evaluates repeatedly
+/// owns one ([`crate::delta::GroupEvalState`] keeps one per state), so
+/// that records and folds reuse the buffers once they have grown; the
+/// cold paths pass a fresh one. Every buffer is reset before use,
+/// so its previous contents never reach a result.
+#[derive(Debug, Default)]
+pub(crate) struct EvalScratch {
+    tree: TreeScratch,
+    /// `(need region, core)` per non-empty part of one flow grouping.
+    needs: Vec<(Region, CoreId)>,
+    /// `(output-channel slice, core)` per non-empty part of one weight
+    /// grouping.
+    slices: Vec<((u32, u32), CoreId)>,
+    /// The cores of one run of equal keys.
+    cores: Vec<CoreId>,
+    core_cycles: Vec<u64>,
+    core_working_set: Vec<u64>,
+    load_traffic: TrafficMap,
+    load_dram: Vec<f64>,
+}
+
+/// Sorts `pairs` by key and calls `f` once per run of equal keys, with
+/// the key and the run's cores (gathered in `cores`).
+///
+/// The sort is stable, so the runs come in ascending key order and each
+/// lists its cores in the order they were pushed: exactly how a
+/// `BTreeMap` from key to a `Vec` of cores, filled in the same order,
+/// iterates.
+fn for_each_run<K: Copy + Ord>(
+    pairs: &mut [(K, CoreId)],
+    cores: &mut Vec<CoreId>,
+    mut f: impl FnMut(K, &[CoreId]),
+) {
+    pairs.sort_by_key(|&(key, _)| key);
+    let mut i = 0;
+    while i < pairs.len() {
+        let key = pairs[i].0;
+        cores.clear();
+        while i < pairs.len() && pairs[i].0 == key {
+            cores.push(pairs[i].1);
+            i += 1;
+        }
+        f(key, cores);
+    }
+}
+
+/// Fills `needs` with `(need region, core)` for each part of `m` that
+/// reads a non-empty region of predecessor `pred_pos`, in part order.
+fn push_needs(dnn: &Dnn, m: &LayerAssignment, pred_pos: usize, needs: &mut Vec<(Region, CoreId)>) {
+    needs.clear();
+    for (core, region) in &m.parts {
+        if region.is_empty() {
+            continue;
+        }
+        let need = dnn.input_need(m.layer, pred_pos, region);
+        if !need.is_empty() {
+            needs.push((need, *core));
+        }
+    }
 }
 
 /// The performance/energy evaluator for one architecture.
@@ -401,50 +499,64 @@ impl Evaluator {
     /// un-validated mappings degrade instead of panicking.
     pub fn evaluate_group(&self, dnn: &Dnn, gm: &GroupMapping, batch: u32) -> GroupReport {
         let records: Vec<MemberRecord> = (0..gm.members.len())
-            .map(|mi| self.member_record(dnn, gm, mi, None))
+            .map(|mi| self.member_record(dnn, gm, mi))
             .collect();
         let refs: Vec<&MemberRecord> = records.iter().collect();
         self.fold_group(gm, batch, gm.depth(dnn), &refs)
     }
 
     /// Builds the decomposed stage record of member `mi` (see
-    /// [`MemberRecord`] for the exact dependency footprint).
+    /// [`MemberRecord`] for the exact dependency footprint) in fresh
+    /// buffers: [`Evaluator::fill_record`] with nothing to keep.
+    pub(crate) fn member_record(&self, dnn: &Dnn, gm: &GroupMapping, mi: usize) -> MemberRecord {
+        let mut out = MemberRecord::default();
+        self.fill_record(dnn, gm, mi, None, &mut out, &mut EvalScratch::default());
+        out
+    }
+
+    /// Builds the stage record of member `mi` into `out`, reusing its
+    /// buffers; whatever `out` held before does not reach the result.
     ///
     /// `committed` is the member's committed assignment and record, when
     /// the caller holds one. Its compute half is kept when the layer, the
     /// parts and whether a weight source exists are unchanged, and its
     /// weight-load half when the layer, the parts and the weight source
     /// are; each kept half is what this code would compute from the same
-    /// inputs, so the record is bit-identical to a cold build. The steady
-    /// flows are always rebuilt.
-    pub(crate) fn member_record(
+    /// inputs, so the record is bit-identical to a cold build. A kept
+    /// half is shared; a rebuilt one refills `out`'s own half when no
+    /// other record shares it. The steady flows are always rebuilt.
+    pub(crate) fn fill_record(
         &self,
         dnn: &Dnn,
         gm: &GroupMapping,
         mi: usize,
         committed: Option<(&LayerAssignment, &MemberRecord)>,
-    ) -> MemberRecord {
+        out: &mut MemberRecord,
+        s: &mut EvalScratch,
+    ) {
         let d = self.arch.dram_count() as usize;
         let m = &gm.members[mi];
         let same_parts = committed.filter(|(c, _)| c.layer == m.layer && c.parts == m.parts);
-        let mut tree = TreeScratch::default();
 
-        let compute = match same_parts {
-            Some((c, r)) if c.wgt_src.is_some() == m.wgt_src.is_some() => r.compute.clone(),
-            _ => self.compute_half(dnn, m),
-        };
+        match same_parts {
+            Some((c, r)) if c.wgt_src.is_some() == m.wgt_src.is_some() => {
+                out.compute = Arc::clone(&r.compute);
+            }
+            _ => self.compute_half(dnn, m, refill(&mut out.compute)),
+        }
 
         // --- Steady-state traffic (one stage) ------------------------
-        let mut traffic = TrafficMap::new(&self.net);
-        let mut dram_bytes = vec![0.0f64; d];
+        let traffic = &mut out.traffic;
+        traffic.reset(&self.net);
+        let dram_bytes = zeroed(&mut out.dram_bytes, d);
         for (pi, src) in m.pred_srcs.iter().enumerate() {
             match src {
                 PredSrc::InGroup { member_idx } => {
                     let producer = &gm.members[*member_idx];
-                    self.add_peer_flows(dnn, gm, mi, pi, producer, &mut traffic, &mut tree);
+                    self.add_peer_flows(dnn, m, pi, producer, traffic, s);
                 }
                 PredSrc::Dram(sel) => {
-                    self.add_dram_reads(dnn, m, pi, *sel, &mut traffic, &mut dram_bytes, &mut tree);
+                    self.add_dram_reads(dnn, m, pi, *sel, traffic, dram_bytes, s);
                 }
             }
         }
@@ -454,65 +566,52 @@ impl Evaluator {
                 if region.is_empty() {
                     continue;
                 }
-                self.add_dram_write(
-                    *core,
-                    region.bytes() as f64,
-                    sel,
-                    &mut traffic,
-                    &mut dram_bytes,
-                );
+                self.add_dram_write(*core, region.bytes() as f64, sel, traffic, dram_bytes);
             }
         }
 
         // --- One-time weight loading ---------------------------------
-        let load = match same_parts {
-            Some((c, r)) if c.wgt_src == m.wgt_src => r.load.clone(),
+        match same_parts {
+            Some((c, r)) if c.wgt_src == m.wgt_src => out.load = Arc::clone(&r.load),
             _ => {
-                let mut load = LoadHalf {
-                    traffic: TrafficMap::new(&self.net),
-                    dram: vec![0.0f64; d],
-                };
+                let load = refill(&mut out.load);
+                load.traffic.reset(&self.net);
+                let dram = zeroed(&mut load.dram, d);
                 if let Some(sel) = m.wgt_src {
-                    self.add_weight_flows(
-                        dnn,
-                        m,
-                        sel,
-                        &mut load.traffic,
-                        &mut load.dram,
-                        &mut tree,
-                    );
+                    self.add_weight_flows(dnn, m, sel, &mut load.traffic, dram, s);
                 }
-                load
             }
-        };
-        MemberRecord {
-            compute,
-            traffic,
-            dram_bytes,
-            load,
         }
     }
 
-    /// Runs the intra-core engine over a member's non-empty parts.
-    fn compute_half(&self, dnn: &Dnn, m: &LayerAssignment) -> ComputeHalf {
-        let mut half = ComputeHalf {
-            core_cycles: Vec::with_capacity(m.parts.len()),
-            glb_energy_pj: 0.0,
-            macs: 0,
-            vector_ops: 0,
-            working_set: Vec::with_capacity(m.parts.len()),
-        };
+    /// Runs the intra-core engine over a member's non-empty parts into
+    /// `half`.
+    fn compute_half(&self, dnn: &Dnn, m: &LayerAssignment, half: &mut ComputeHalf) {
+        // Exhaustive, so that a field added to ComputeHalf must be reset
+        // here too.
+        let ComputeHalf {
+            core_cycles,
+            glb_energy_pj,
+            macs,
+            vector_ops,
+            working_set,
+        } = half;
+        core_cycles.clear();
+        *glb_energy_pj = 0.0;
+        *macs = 0;
+        *vector_ops = 0;
+        working_set.clear();
         for (core, region) in &m.parts {
             if region.is_empty() {
                 continue;
             }
             let wl = part_workload(dnn, m.layer, region);
             let r = self.profile.explorer(*core).explore(&wl);
-            half.core_cycles.push((core.idx(), r.cycles));
-            half.glb_energy_pj +=
+            core_cycles.push((core.idx(), r.cycles));
+            *glb_energy_pj +=
                 r.glb_bytes as f64 * self.energy.glb_pj_per_byte(self.profile.glb_bytes(*core));
-            half.macs += r.macs;
-            half.vector_ops += r.vector_ops;
+            *macs += r.macs;
+            *vector_ops += r.vector_ops;
             // Outputs are held until the consumer stage reads
             // them; inputs need residency only when the reduction
             // reuses them across output-channel tiles (vector-only
@@ -524,12 +623,33 @@ impl Evaluator {
             if m.wgt_src.is_some() {
                 ws += wl.weight_bytes;
             }
-            half.working_set.push((core.idx(), ws));
+            working_set.push((core.idx(), ws));
         }
-        half
     }
 
-    /// Folds per-member stage records into the group report.
+    /// Folds per-member stage records into the group report, in fresh
+    /// buffers: [`Evaluator::fold_into`].
+    pub(crate) fn fold_group(
+        &self,
+        gm: &GroupMapping,
+        batch: u32,
+        depth: u32,
+        records: &[&MemberRecord],
+    ) -> GroupReport {
+        let mut out = GroupReport::blank();
+        self.fold_into(
+            gm,
+            batch,
+            depth,
+            records.iter().copied(),
+            &mut out,
+            &mut EvalScratch::default(),
+        );
+        out
+    }
+
+    /// Folds per-member stage records into `out`, reusing its buffers;
+    /// every field of `out` is overwritten.
     ///
     /// This is the single canonical aggregation: records are folded in
     /// member order (float summation order is fixed), then the
@@ -542,19 +662,42 @@ impl Evaluator {
     /// `depth` is the group's pipeline depth, [`GroupMapping::depth`];
     /// it depends only on the member layers, so callers that fold one
     /// group many times compute it once.
-    pub(crate) fn fold_group(
+    pub(crate) fn fold_into<'r>(
         &self,
         gm: &GroupMapping,
         batch: u32,
         depth: u32,
-        records: &[&MemberRecord],
-    ) -> GroupReport {
-        debug_assert_eq!(records.len(), gm.members.len(), "one record per member");
+        records: impl IntoIterator<Item = &'r MemberRecord>,
+        out: &mut GroupReport,
+        s: &mut EvalScratch,
+    ) {
         let d = self.arch.dram_count() as usize;
         let rounds = batch.div_ceil(gm.batch_unit.max(1)).max(1);
-
         let n_cores = self.arch.n_cores() as usize;
-        let mut core_cycles = vec![0u64; n_cores];
+        let EvalScratch {
+            tree,
+            core_cycles,
+            core_working_set,
+            load_traffic,
+            load_dram,
+            ..
+        } = s;
+        // Exhaustive, so that a field added to GroupReport must be
+        // written here too.
+        let GroupReport {
+            stage_time_s: out_stage,
+            delay_s: out_delay,
+            rounds: out_rounds,
+            depth: out_depth,
+            weight_load_s: out_weight_load,
+            energy: out_energy,
+            traffic,
+            dram_bytes,
+            bottleneck: out_bottleneck,
+            weights_resident: out_resident,
+        } = out;
+
+        let core_cycles = zeroed(core_cycles, n_cores);
         let mut glb_energy_pj = 0.0f64;
         let mut macs_total = 0u64;
         let mut vector_total = 0u64;
@@ -563,13 +706,15 @@ impl Evaluator {
         // streamed, so single-buffered). Anything beyond the GLB
         // capacity spills to DRAM every round — this is what makes core
         // granularity and GLB size genuine trade-offs (Sec. VII-A2).
-        let mut core_working_set = vec![0u64; n_cores];
-        let mut traffic = TrafficMap::new(&self.net);
-        let mut dram_bytes = vec![0.0f64; d];
-        let mut load_traffic = TrafficMap::new(&self.net);
-        let mut load_dram = vec![0.0f64; d];
+        let core_working_set = zeroed(core_working_set, n_cores);
+        traffic.reset(&self.net);
+        let dram_bytes = zeroed(dram_bytes, d);
+        load_traffic.reset(&self.net);
+        let load_dram = zeroed(load_dram, d);
 
+        let mut n_records = 0;
         for rec in records {
+            n_records += 1;
             let compute = &rec.compute;
             for &(c, cycles) in &compute.core_cycles {
                 core_cycles[c] += cycles;
@@ -589,6 +734,7 @@ impl Evaluator {
                 *a += b;
             }
         }
+        debug_assert_eq!(n_records, gm.members.len(), "one record per member");
         let weights_resident = core_working_set
             .iter()
             .enumerate()
@@ -598,26 +744,19 @@ impl Evaluator {
         // Weights are loaded once per group execution (one-time map);
         // any working-set overflow beyond the GLB spills to DRAM every
         // round (written back and re-fetched), on top of that.
-        let mut tree = TreeScratch::default();
         if self.opts.spill_enabled {
             for (i, &ws) in core_working_set.iter().enumerate() {
                 let core = CoreId(i as u16);
                 let overflow = ws.saturating_sub(self.profile.glb_bytes(core)) as f64;
                 if overflow > 0.0 {
-                    self.add_dram_write(
-                        core,
-                        overflow,
-                        DramSel::Interleaved,
-                        &mut traffic,
-                        &mut dram_bytes,
-                    );
+                    self.add_dram_write(core, overflow, DramSel::Interleaved, traffic, dram_bytes);
                     self.dram_multicast(
                         &[core],
                         overflow,
                         DramSel::Interleaved,
-                        &mut traffic,
-                        &mut dram_bytes,
-                        &mut tree,
+                        traffic,
+                        dram_bytes,
+                        tree,
                     );
                 }
             }
@@ -659,7 +798,7 @@ impl Evaluator {
 
         // --- Weight-load time (resident case) -------------------------
         let mut weight_load_s = load_links.max_time;
-        for &b in &load_dram {
+        for &b in load_dram.iter() {
             weight_load_s = weight_load_s.max(b / per_dram_bw);
         }
 
@@ -697,18 +836,14 @@ impl Evaluator {
         }
         energy.dram += load_dram.iter().sum::<f64>() * self.energy.dram_pj_per_byte * pj;
 
-        GroupReport {
-            stage_time_s: stage,
-            delay_s: delay,
-            rounds,
-            depth,
-            weight_load_s,
-            energy,
-            traffic,
-            dram_bytes,
-            bottleneck,
-            weights_resident,
-        }
+        *out_stage = stage;
+        *out_delay = delay;
+        *out_rounds = rounds;
+        *out_depth = depth;
+        *out_weight_load = weight_load_s;
+        *out_energy = energy;
+        *out_bottleneck = bottleneck;
+        *out_resident = weights_resident;
     }
 
     /// Core-to-core flows for one (consumer member, predecessor) pair.
@@ -716,30 +851,20 @@ impl Evaluator {
     /// Consumer parts are grouped by identical need region so broadcast
     /// patterns (e.g. K-partitioned consumers all needing the full
     /// producer output) ride a multicast tree and pay each link once.
-    #[allow(clippy::too_many_arguments)] // threads shared scratch buffers through the hot path
     fn add_peer_flows(
         &self,
         dnn: &Dnn,
-        gm: &GroupMapping,
-        consumer_idx: usize,
+        consumer: &LayerAssignment,
         pred_pos: usize,
         producer: &LayerAssignment,
         traffic: &mut TrafficMap,
-        tree: &mut TreeScratch,
+        s: &mut EvalScratch,
     ) {
-        let consumer = &gm.members[consumer_idx];
-        let mut by_need: BTreeMap<Region, Vec<CoreId>> = BTreeMap::new();
-        for (core, region) in &consumer.parts {
-            if region.is_empty() {
-                continue;
-            }
-            let need = dnn.input_need(consumer.layer, pred_pos, region);
-            if need.is_empty() {
-                continue;
-            }
-            by_need.entry(need).or_default().push(*core);
-        }
-        for (need, cores) in by_need {
+        let EvalScratch {
+            tree, needs, cores, ..
+        } = s;
+        push_needs(dnn, consumer, pred_pos, needs);
+        for_each_run(needs, cores, |need, cores| {
             for (pc, pr) in &producer.parts {
                 let vol = need.overlap_bytes(pr) as f64;
                 if vol == 0.0 {
@@ -748,23 +873,23 @@ impl Evaluator {
                 // The producer's own core needs no link; its tree (or
                 // route) to itself is empty.
                 if self.opts.multicast_enabled {
-                    traffic.add_path(self.net.multicast_cores(*pc, &cores, tree), vol);
+                    traffic.add_path(self.net.multicast_cores(*pc, cores, tree), vol);
                 } else {
                     // Unicast ablation: one full copy per destination.
-                    for d in &cores {
+                    for d in cores {
                         let route = self.net.multicast_cores(*pc, std::slice::from_ref(d), tree);
                         traffic.add_path(route, vol);
                     }
                 }
             }
-        }
+        });
     }
 
     /// DRAM-to-core reads for one (consumer, pred) with explicit flow
     /// management (DNN input or previous group's output). Identical need
     /// regions share a multicast tree; volume is split across the DRAM's
     /// ports, and across DRAMs when interleaved.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)] // threads shared scratch buffers through the hot path
     fn add_dram_reads(
         &self,
         dnn: &Dnn,
@@ -773,23 +898,16 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        tree: &mut TreeScratch,
+        s: &mut EvalScratch,
     ) {
-        let mut by_need: BTreeMap<Region, Vec<CoreId>> = BTreeMap::new();
-        for (core, region) in &m.parts {
-            if region.is_empty() {
-                continue;
-            }
-            let need = dnn.input_need(m.layer, pred_pos, region);
-            if need.is_empty() {
-                continue;
-            }
-            by_need.entry(need).or_default().push(*core);
-        }
-        for (need, cores) in by_need {
+        let EvalScratch {
+            tree, needs, cores, ..
+        } = s;
+        push_needs(dnn, m, pred_pos, needs);
+        for_each_run(needs, cores, |need, cores| {
             let vol = need.bytes() as f64;
-            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, tree);
-        }
+            self.dram_multicast(cores, vol, sel, traffic, dram_bytes, tree);
+        });
     }
 
     /// Weight flows for one member: distinct output-channel slices are
@@ -801,27 +919,29 @@ impl Evaluator {
         sel: DramSel,
         traffic: &mut TrafficMap,
         dram_bytes: &mut [f64],
-        tree: &mut TreeScratch,
+        s: &mut EvalScratch,
     ) {
         let layer = dnn.layer(m.layer);
         let wtotal = layer.weight_bytes() as f64;
         if wtotal == 0.0 {
             return;
         }
-        let mut by_slice: BTreeMap<(u32, u32), Vec<CoreId>> = BTreeMap::new();
+        let EvalScratch {
+            tree,
+            slices,
+            cores,
+            ..
+        } = s;
+        slices.clear();
         for (core, region) in &m.parts {
-            if region.is_empty() {
-                continue;
+            if !region.is_empty() {
+                slices.push(((region.k.start, region.k.end), *core));
             }
-            by_slice
-                .entry((region.k.start, region.k.end))
-                .or_default()
-                .push(*core);
         }
-        for ((k0, k1), cores) in by_slice {
+        for_each_run(slices, cores, |(k0, k1), cores| {
             let vol = wtotal * (k1 - k0) as f64 / layer.ofmap.c as f64;
-            self.dram_multicast(&cores, vol, sel, traffic, dram_bytes, tree);
-        }
+            self.dram_multicast(cores, vol, sel, traffic, dram_bytes, tree);
+        });
     }
 
     /// Multicasts `vol` bytes from DRAM(s) chosen by `sel` to `cores`,

@@ -36,7 +36,7 @@ pub use bound::{
     bound_achieving_mapping, dnn_bound, gemm_shaped, group_bound, DnnBound, GroupBound,
 };
 pub use decode::{sweep_positions, transplant_mappings, PositionEval, SweepStats};
-pub use delta::{DeltaProposal, DeltaStats, GroupEvalState};
+pub use delta::{DeltaStats, GroupEvalState};
 pub use energy::{D2dEnergyModel, EnergyBreakdown, EnergyModel};
 pub use evaluate::{DnnReport, EvalOptions, Evaluator, GroupReport, StageBottleneck};
 pub use fidelity::{

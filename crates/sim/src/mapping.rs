@@ -63,7 +63,7 @@ pub enum PredSrc {
 }
 
 /// One layer's assignment inside a group mapping.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerAssignment {
     /// The layer.
     pub layer: LayerId,
@@ -83,13 +83,62 @@ pub struct LayerAssignment {
 /// The mapping is plain data with total equality, so the incremental
 /// evaluator ([`crate::delta::GroupEvalState::diff_dirty`]) finds the
 /// changed members of a new mapping by comparing assignments.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupMapping {
     /// Member layers in topological order.
     pub members: Vec<LayerAssignment>,
     /// Samples processed per pipeline stage (the graph partitioner's
     /// batch unit).
     pub batch_unit: u32,
+}
+
+// `clone_from` reuses the vectors of the target (a derived `Clone`
+// would reallocate them), so a caller that copies mappings into the
+// same buffers over and over allocates nothing. It destructures its
+// source so that a new field cannot be left out of the copy.
+impl Clone for LayerAssignment {
+    fn clone(&self) -> Self {
+        Self {
+            layer: self.layer,
+            parts: self.parts.clone(),
+            pred_srcs: self.pred_srcs.clone(),
+            wgt_src: self.wgt_src,
+            of_dst: self.of_dst,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            layer,
+            parts,
+            pred_srcs,
+            wgt_src,
+            of_dst,
+        } = source;
+        self.layer = *layer;
+        self.parts.clone_from(parts);
+        self.pred_srcs.clone_from(pred_srcs);
+        self.wgt_src = *wgt_src;
+        self.of_dst = *of_dst;
+    }
+}
+
+impl Clone for GroupMapping {
+    fn clone(&self) -> Self {
+        Self {
+            members: self.members.clone(),
+            batch_unit: self.batch_unit,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            members,
+            batch_unit,
+        } = source;
+        self.members.clone_from(members);
+        self.batch_unit = *batch_unit;
+    }
 }
 
 /// Errors found by [`GroupMapping::validate`].

@@ -215,9 +215,8 @@ fn a_resimulated_member_keeps_only_the_halves_its_change_leaves_alone() {
         // The delta path (conv2 alone) and the full path.
         for dirty in [Some(&[1][..]), None] {
             let mut st = GroupEvalState::new(&ev, &dnn, base.clone(), 4);
-            let p = st.propose(&ev, &dnn, &gm, dirty);
             assert!(
-                p.report().bit_identical(&cold),
+                st.propose(&ev, &dnn, &gm, dirty).bit_identical(&cold),
                 "{wgt_src:?}/{of_dst:?} with footprint {dirty:?} differs from cold"
             );
         }
