@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the framework's hot components: routing,
 //! traffic accumulation, intra-core search, group evaluation, SA
 //! iteration throughput (sequential vs. parallel chains), graph
-//! partitioning, monetary-cost evaluation and packet simulation.
+//! partitioning, monetary-cost evaluation, and fluid and packet
+//! simulation.
 //!
 //! Each timing prints the minimum mean per-call wall clock over
 //! [`SAMPLES`] samples ([`time_min`]). `GEMINI_MICRO_SECTIONS` selects
@@ -25,7 +26,7 @@ use gemini_cost::CostModel;
 use gemini_intracore::{CoreParams, IntraCoreExplorer, PartWorkload};
 use gemini_model::{zoo, LayerId};
 use gemini_noc::{Network, TrafficMap, TreeScratch};
-use gemini_sim::{DramSel, Evaluator};
+use gemini_sim::{stage_flows, DramSel, Evaluator};
 
 /// Samples per timing; [`time_min`] reports the fastest.
 const SAMPLES: usize = 20;
@@ -436,6 +437,41 @@ fn bench_packetsim() {
     );
 }
 
+/// The fluid rung on real stage flows: every group of the stripe
+/// mapping of ResNet-50 at batch 64 on G-Arch 72 (9 groups, 2,905
+/// flows), replayed back to back through one reused workspace. Asserts
+/// once that the reused workspace equals the one-shot wrapper.
+fn bench_flowsim() {
+    use gemini_noc::flowsim::{simulate_flows, FlowSimWorkspace};
+    let arch = presets::g_arch_72();
+    let ev = Evaluator::new(&arch);
+    let dnn = zoo::resnet50();
+    let mapped = MappingEngine::new(&ev).map_stripe(&dnn, 64, &MappingOptions::default());
+    let sets: Vec<_> = mapped
+        .group_mappings(&dnn)
+        .iter()
+        .map(|gm| stage_flows(&ev, &dnn, gm))
+        .collect();
+    let net = ev.network();
+    let mut ws = FlowSimWorkspace::new();
+    for flows in &sets {
+        assert_eq!(
+            ws.simulate(net, flows),
+            simulate_flows(net, flows),
+            "a reused workspace must equal the one-shot wrapper"
+        );
+    }
+    time_min(
+        "noc/flowsim_rn50_b64_stripe_groups",
+        || (),
+        |()| {
+            sets.iter()
+                .map(|flows| ws.simulate(net, flows).events)
+                .sum::<usize>()
+        },
+    );
+}
+
 fn bench_hetero_eval() {
     // Heterogeneous evaluation must cost about the same as homogeneous
     // (the per-core profile is an O(1) lookup).
@@ -477,7 +513,7 @@ fn bench_hetero_eval() {
 }
 
 fn main() {
-    let sections: [(&str, fn()); 11] = [
+    let sections: [(&str, fn()); 12] = [
         ("routing", bench_routing),
         ("traffic", bench_traffic),
         ("intracore", bench_intracore),
@@ -488,6 +524,7 @@ fn main() {
         ("partition", bench_partition),
         ("cost", bench_cost),
         ("packetsim", bench_packetsim),
+        ("flowsim", bench_flowsim),
         ("hetero_eval", bench_hetero_eval),
     ];
     for (name, run) in sections {

@@ -9,6 +9,13 @@
 //! analytic bottleneck bound, and equal to it when flows do not
 //! contend.
 //!
+//! The solver is incremental. Between events it keeps its progressive
+//! filling, and when flows finish it re-runs only the rounds from the
+//! first one that froze a finished flow, instead of refilling every
+//! link from scratch. The result is bit-identical to the refill; see
+//! [`FlowSimWorkspace`] for the algorithm, why it is exact and what an
+//! event costs.
+//!
 //! # Example
 //!
 //! ```
@@ -49,25 +56,105 @@ pub struct FlowSimResult {
     pub events: usize,
 }
 
-/// Reusable scratch state for flow simulations.
+/// Reusable state of the incremental max-min solver.
 ///
-/// The DSE re-rank stage replays every group of every top-K candidate
-/// back to back; the per-link and per-flow vectors dominate allocation
-/// there, so callers with many consecutive simulations keep one
-/// workspace alive and call [`FlowSimWorkspace::simulate`] instead of
-/// the allocating [`simulate_flows`] wrapper. Results are bit-identical
-/// between the two entry points.
+/// # Algorithm
+///
+/// The network drains event by event: at each event (a flow finishing)
+/// the active flows get their max-min fair rates by progressive
+/// filling, and time advances to the next completion. One filling is a
+/// sequence of rounds. Each round picks the live link with the smallest
+/// fair share `cap / n` (capacity left over `n` unfrozen flows on it;
+/// the lowest link id on a tie), freezes every unfrozen flow on it at
+/// that share in ascending flow order, and subtracts the share from
+/// every link on each frozen flow's path, clamping at zero.
+///
+/// The workspace keeps that filling between events instead of
+/// repeating it. Per call it gives the links the flows touch compact
+/// ids in ascending [`LinkId`] order, computes their capacities once,
+/// and indexes flows to links and links to flows in two CSR arrays.
+/// Across events it keeps each link's capacity and unfrozen-flow count,
+/// each flow's rate and the round that froze it, and per round where
+/// that round starts in the list of frozen flows and in an undo log of
+/// `(link, capacity before the subtraction)`. When flows finish, let
+/// `r*` be the earliest round that froze one of them. The solver
+/// restores the logged capacities back to the start of round `r*`,
+/// unfreezes the flows frozen from `r*` on, drops the finished flows'
+/// counts, and resumes filling at round `r*`. An event where only
+/// empty-path flows finished runs no round at all.
+///
+/// # Why the result is bit-identical to a fresh filling
+///
+/// A flow is frozen in the first round that picks a link on its path,
+/// so no link picked before `r*` carries a finished flow. By induction
+/// every round before `r*` sees the same capacities with or without the
+/// finished flows, and its picked link carries the same count. Any
+/// other link has the same capacity and an equal or smaller count, so
+/// an equal or larger share (capacities are finite and non-negative):
+/// the first-index minimum, and so the pick, its share and the flows it
+/// freezes, do not move. From `r*` on the solver runs the same
+/// arithmetic, in the same order, as a filling from scratch. Capacities
+/// are restored from the log, never by adding shares back: a clamped
+/// subtraction cannot be inverted. If some link's capacity is NaN or
+/// infinite (a NaN or overflowing bandwidth) the shares are no longer
+/// ordered, and every changed event refills from round 0.
+///
+/// # Cost
+///
+/// Setup is linear in the number of network links plus the summed path
+/// length. An event costs the rounds from `r*` on, each scanning the
+/// links still live and updating the paths of the flows it freezes,
+/// plus the undo entries and the unfrozen paths of the rollback; the
+/// rounds before `r*` cost nothing. Every buffer lives in the
+/// workspace and grows with the network's link count or the summed path
+/// length, so a workspace reused across flow sets stops allocating once
+/// it has seen the largest.
+///
+/// The DSE re-rank stage and fluid campaigns replay every group of
+/// every candidate back to back, so callers with many consecutive
+/// simulations keep one workspace alive and call
+/// [`FlowSimWorkspace::simulate`] instead of the allocating
+/// [`simulate_flows`] wrapper. Results are bit-identical between the
+/// two entry points.
 #[derive(Debug, Default)]
 pub struct FlowSimWorkspace {
-    link_cap: Vec<f64>,
-    flows_on: Vec<Vec<usize>>,
-    remaining_on: Vec<usize>,
-    rate: Vec<f64>,
+    /// Compact id of each network link a flow touches, `NO_LINK`
+    /// elsewhere.
+    local: Vec<u32>,
+    /// Flow to links (compact ids, path order): flow `f` crosses
+    /// `path[path_start[f]..path_start[f + 1]]`.
+    path_start: Vec<u32>,
+    path: Vec<u32>,
+    /// Link to flows (ascending, once per path entry): link `l` carries
+    /// `on[on_start[l]..on_start[l + 1]]`.
+    on_start: Vec<u32>,
+    on: Vec<u32>,
+    /// Per link: capacity left (bytes/s) and unfrozen active flows.
+    cap: Vec<f64>,
+    unfrozen: Vec<u32>,
+    /// Links whose count may be nonzero, ascending.
+    live: Vec<u32>,
+    /// Per flow: frozen (or retired), its rate and the round that froze
+    /// it.
     fixed: Vec<bool>,
+    rate: Vec<f64>,
+    frozen_in: Vec<u32>,
+    /// Flows in the order they were frozen.
+    frozen: Vec<u32>,
+    /// `(link, capacity before a subtraction)`, in subtraction order.
+    undo: Vec<(u32, f64)>,
+    /// Per round: `frozen.len()` and `undo.len()` when it started.
+    rounds: Vec<(u32, u32)>,
+    /// Whether every capacity is finite and non-negative, so a rollback
+    /// may resume past round 0.
+    ordered: bool,
     remaining: Vec<f64>,
     done: Vec<f64>,
-    active: Vec<usize>,
+    /// Flows with bytes left, ascending.
+    active: Vec<u32>,
 }
+
+const NO_LINK: u32 = u32::MAX;
 
 impl FlowSimWorkspace {
     /// An empty workspace (buffers grow on first use).
@@ -75,138 +162,255 @@ impl FlowSimWorkspace {
         Self::default()
     }
 
-    /// Max-min fair rate allocation for the active flows (progressive
-    /// filling / water-filling): repeatedly freeze the most constrained
-    /// link's fair share. Rates land in `self.rate`, parallel to
-    /// `active`.
-    fn maxmin_rates(&mut self, net: &Network, active: &[usize], flows: &[Flow]) {
-        let n_links = net.n_links();
-        self.link_cap.clear();
-        self.link_cap
-            .extend((0..n_links).map(|i| net.link(LinkId(i as u32)).bw * 1e9));
-        if self.flows_on.len() < n_links {
-            self.flows_on.resize_with(n_links, Vec::new);
-        }
-        // Flows crossing each link (indices into `active`).
-        for v in &mut self.flows_on[..n_links] {
-            v.clear();
-        }
-        for (ai, &fi) in active.iter().enumerate() {
-            for l in &flows[fi].path {
-                self.flows_on[l.idx()].push(ai);
-            }
-        }
-        self.rate.clear();
-        self.rate.resize(active.len(), f64::INFINITY);
-        self.fixed.clear();
-        self.fixed.resize(active.len(), false);
-        self.remaining_on.clear();
-        self.remaining_on
-            .extend(self.flows_on[..n_links].iter().map(|f| f.len()));
-
-        let Self {
-            link_cap,
-            flows_on,
-            remaining_on,
-            rate,
-            fixed,
-            ..
-        } = self;
-        loop {
-            // Most constrained link: min cap / remaining flows.
-            let mut best: Option<(f64, usize)> = None;
-            for l in 0..n_links {
-                if remaining_on[l] == 0 {
-                    continue;
-                }
-                let share = link_cap[l] / remaining_on[l] as f64;
-                if best.map_or(true, |(s, _)| share < s) {
-                    best = Some((share, l));
-                }
-            }
-            let Some((share, l)) = best else { break };
-            // Freeze every unfixed flow on that link at the fair share.
-            for &ai in &flows_on[l] {
-                if fixed[ai] {
-                    continue;
-                }
-                fixed[ai] = true;
-                rate[ai] = share;
-                // Release its capacity claims elsewhere.
-                for link in &flows[active[ai]].path {
-                    link_cap[link.idx()] -= share;
-                    if link_cap[link.idx()] < 0.0 {
-                        link_cap[link.idx()] = 0.0;
-                    }
-                    remaining_on[link.idx()] -= 1;
-                }
-            }
-        }
-        // Flows touching no links (empty paths, e.g. same-core
-        // transfers) complete instantly.
-        for (ai, r) in rate.iter_mut().enumerate() {
-            if flows[active[ai]].path.is_empty() {
-                *r = f64::INFINITY;
-            }
-        }
-    }
-
     /// Simulates the concurrent transfer of `flows`, max-min fair.
     ///
     /// Returns exact per-flow completion times under fluid sharing.
     /// Flows with empty paths complete at t = 0.
     pub fn simulate(&mut self, net: &Network, flows: &[Flow]) -> FlowSimResult {
-        self.remaining.clear();
-        self.remaining
-            .extend(flows.iter().map(|f| f.bytes.max(0.0)));
-        self.done.clear();
-        self.done.resize(flows.len(), 0.0);
+        self.load(net, flows);
         let mut t = 0.0f64;
         let mut events = 0usize;
-
-        loop {
-            let mut active = std::mem::take(&mut self.active);
-            active.clear();
-            active.extend((0..flows.len()).filter(|&i| self.remaining[i] > 0.0));
-            if active.is_empty() {
-                self.active = active;
-                break;
-            }
+        while !self.active.is_empty() {
             events += 1;
-            self.maxmin_rates(net, &active, flows);
+            self.fill();
             // Advance to the next flow completion.
             let mut dt = f64::INFINITY;
-            for (ai, &fi) in active.iter().enumerate() {
-                if self.rate[ai] > 0.0 {
-                    dt = dt.min(self.remaining[fi] / self.rate[ai]);
+            for &f in &self.active {
+                let f = f as usize;
+                if self.rate[f] > 0.0 {
+                    dt = dt.min(self.remaining[f] / self.rate[f]);
                 }
             }
             if !dt.is_finite() {
                 // All active rates are zero: a saturated/degenerate
                 // network; bail out rather than loop forever.
-                self.active = active;
                 break;
             }
             t += dt;
-            for (ai, &fi) in active.iter().enumerate() {
-                self.remaining[fi] -= self.rate[ai] * dt;
-                if self.remaining[fi] <= 1e-6 {
-                    self.remaining[fi] = 0.0;
-                    self.done[fi] = t;
+            for &f in &self.active {
+                let f = f as usize;
+                self.remaining[f] -= self.rate[f] * dt;
+                if self.remaining[f] <= 1e-6 {
+                    self.remaining[f] = 0.0;
+                    self.done[f] = t;
                 }
             }
-            self.active = active;
             // Safety valve: events are bounded by flow count in exact
             // arithmetic; guard against pathological float cycling.
             if events > flows.len() * 4 + 16 {
                 break;
             }
+            self.retire();
         }
         FlowSimResult {
             completion_s: t,
             flow_times_s: self.done.clone(),
             events,
         }
+    }
+
+    /// Resets the workspace for `flows`: byte counts, the compact link
+    /// space with its capacities, both CSR indexes and an empty
+    /// filling.
+    fn load(&mut self, net: &Network, flows: &[Flow]) {
+        self.remaining.clear();
+        self.remaining
+            .extend(flows.iter().map(|f| f.bytes.max(0.0)));
+        self.done.clear();
+        self.done.resize(flows.len(), 0.0);
+        self.active.clear();
+        self.active
+            .extend((0..flows.len() as u32).filter(|&f| self.remaining[f as usize] > 0.0));
+
+        // Compact ids for the links the active flows cross, in
+        // ascending `LinkId` order so a scan keeps the first-index
+        // tie-break.
+        self.local.clear();
+        self.local.resize(net.n_links(), NO_LINK);
+        for &f in &self.active {
+            for l in &flows[f as usize].path {
+                self.local[l.idx()] = 0;
+            }
+        }
+        self.cap.clear();
+        for (i, local) in self.local.iter_mut().enumerate() {
+            if *local != NO_LINK {
+                *local = self.cap.len() as u32;
+                self.cap.push(net.link(LinkId(i as u32)).bw * 1e9);
+            }
+        }
+        let n_links = self.cap.len();
+        self.ordered = self.cap.iter().all(|c| c.is_finite() && *c >= 0.0);
+
+        // Flow to links; the per-link entry counts are the initial
+        // unfrozen counts.
+        self.unfrozen.clear();
+        self.unfrozen.resize(n_links, 0);
+        self.path.clear();
+        self.path_start.clear();
+        self.path_start.push(0);
+        for (f, flow) in flows.iter().enumerate() {
+            if self.remaining[f] > 0.0 {
+                for l in &flow.path {
+                    let l = self.local[l.idx()];
+                    self.path.push(l);
+                    self.unfrozen[l as usize] += 1;
+                }
+            }
+            self.path_start.push(self.path.len() as u32);
+        }
+
+        // Link to flows: `on_start[l]` starts at the end of link `l`'s
+        // range and is decremented once per entry, filled in descending
+        // flow order, so each range ends up ascending.
+        self.on_start.clear();
+        let mut end = 0;
+        for &n in &self.unfrozen {
+            end += n;
+            self.on_start.push(end);
+        }
+        self.on_start.push(end);
+        self.on.clear();
+        self.on.resize(end as usize, 0);
+        for &f in self.active.iter().rev() {
+            let (a, b) = self.path_range(f);
+            for &l in self.path[a..b].iter().rev() {
+                self.on_start[l as usize] -= 1;
+                self.on[self.on_start[l as usize] as usize] = f;
+            }
+        }
+
+        // Flows with no bytes to send count as retired from the start.
+        self.fixed.clear();
+        self.fixed.resize(flows.len(), true);
+        for &f in &self.active {
+            self.fixed[f as usize] = false;
+        }
+        self.rate.clear();
+        self.rate.resize(flows.len(), f64::INFINITY);
+        self.frozen_in.clear();
+        self.frozen_in.resize(flows.len(), 0);
+        self.frozen.clear();
+        self.undo.clear();
+        self.rounds.clear();
+        self.live.clear();
+        self.live.extend(0..n_links as u32);
+    }
+
+    fn path_range(&self, f: u32) -> (usize, usize) {
+        (
+            self.path_start[f as usize] as usize,
+            self.path_start[f as usize + 1] as usize,
+        )
+    }
+
+    /// Runs water-filling rounds until no live link is left.
+    fn fill(&mut self) {
+        let Self {
+            path_start,
+            path,
+            on_start,
+            on,
+            cap,
+            unfrozen,
+            live,
+            fixed,
+            rate,
+            frozen_in,
+            frozen,
+            undo,
+            rounds,
+            ..
+        } = self;
+        loop {
+            // Most constrained link: min cap / unfrozen flows. A link
+            // whose count reached 0 stays out of the scan.
+            let mut best: Option<(f64, u32)> = None;
+            live.retain(|&l| {
+                let n = unfrozen[l as usize];
+                if n == 0 {
+                    return false;
+                }
+                let share = cap[l as usize] / n as f64;
+                if best.map_or(true, |(s, _)| share < s) {
+                    best = Some((share, l));
+                }
+                true
+            });
+            let Some((share, l)) = best else { break };
+            let round = rounds.len() as u32;
+            rounds.push((frozen.len() as u32, undo.len() as u32));
+            // Freeze every unfixed flow on that link at the fair share.
+            let l = l as usize;
+            for &f in &on[on_start[l] as usize..on_start[l + 1] as usize] {
+                let fi = f as usize;
+                if fixed[fi] {
+                    continue;
+                }
+                fixed[fi] = true;
+                rate[fi] = share;
+                frozen_in[fi] = round;
+                frozen.push(f);
+                // Release its capacity claims elsewhere.
+                for &k in &path[path_start[fi] as usize..path_start[fi + 1] as usize] {
+                    let ki = k as usize;
+                    undo.push((k, cap[ki]));
+                    cap[ki] -= share;
+                    if cap[ki] < 0.0 {
+                        cap[ki] = 0.0;
+                    }
+                    unfrozen[ki] -= 1;
+                }
+            }
+        }
+    }
+
+    /// Drops the flows that just finished from the active set and rolls
+    /// the filling back to the earliest round that froze one of them.
+    fn retire(&mut self) {
+        let mut first = u32::MAX;
+        let Self {
+            active,
+            remaining,
+            path_start,
+            frozen_in,
+            ..
+        } = self;
+        active.retain(|&f| {
+            let f = f as usize;
+            if remaining[f] > 0.0 {
+                return true;
+            }
+            if path_start[f] < path_start[f + 1] {
+                first = first.min(frozen_in[f]);
+            }
+            false
+        });
+        if first == u32::MAX {
+            return;
+        }
+        let round = if self.ordered { first as usize } else { 0 };
+        let (frozen_at, undo_at) = self.rounds[round];
+        for &(l, c) in self.undo[undo_at as usize..].iter().rev() {
+            self.cap[l as usize] = c;
+        }
+        self.undo.truncate(undo_at as usize);
+        // Flows frozen from that round on are unfrozen; the finished
+        // ones stay retired and give their counts up.
+        for &f in &self.frozen[frozen_at as usize..] {
+            if self.remaining[f as usize] > 0.0 {
+                self.fixed[f as usize] = false;
+                let (a, b) = self.path_range(f);
+                for &l in &self.path[a..b] {
+                    self.unfrozen[l as usize] += 1;
+                }
+            }
+        }
+        self.frozen.truncate(frozen_at as usize);
+        self.rounds.truncate(round);
+        self.live.clear();
+        self.live
+            .extend((0..self.cap.len() as u32).filter(|&l| self.unfrozen[l as usize] > 0));
     }
 }
 

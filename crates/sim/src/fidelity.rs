@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use gemini_model::Dnn;
-use gemini_noc::flowsim::{analytic_bottleneck, Flow, FlowSimWorkspace};
+use gemini_noc::flowsim::{Flow, FlowSimWorkspace};
 use gemini_noc::packetsim::{PacketSimConfig, PacketSimWorkspace};
 use gemini_noc::TrafficMap;
 
@@ -236,11 +236,13 @@ struct StagePrelude {
 fn stage_prelude(ev: &Evaluator, dnn: &Dnn, gm: &GroupMapping, cap_bytes: f64) -> StagePrelude {
     let (flows, scale) = capped_stage_flows(ev, dnn, gm, cap_bytes);
     let net = ev.network();
-    let bottleneck = analytic_bottleneck(net, &flows);
+    // One map for both statistics: `analytic_bottleneck` builds the same
+    // map from the same adds.
     let mut traffic = TrafficMap::new(net);
     for f in &flows {
         traffic.add_path(&f.path, f.bytes);
     }
+    let bottleneck = traffic.bottleneck_time(net);
     let mean_link = traffic.mean_link_time(net);
     let analytic = bottleneck + ev.options().congestion_weight * mean_link;
     StagePrelude {
